@@ -10,23 +10,26 @@ characteristic function -- the Dirichlet-sum form and the spectral form are
 the same number), and the heat kernel again in its role as the closed form of
 the scale-integrated wavelet estimator.
 
-Evaluation therefore never assembles spectra: cos(omega/2) of each
-(sample, point) pair is one 4-vector dot product and the kernel value follows
-from one fused Chebyshev recurrence.  Spectra are computed only on request
-(`characteristic_spectrum`) or inside the scale-integration verification path
-of the wavelet estimator.
+Evaluation therefore never assembles spectra.  The (sample, point) pairs are
+taken in cache-sized blocks: a block's cos(omega/2) values are one GEMM of
+sample quaternions against point quaternions, the kernel values follow from
+the cosine-series Clenshaw recurrence of `spectra.zonal_synthesize`, and each
+block is summed into the output, so memory stays bounded for any sample size.
+Spectra are computed only on request (`characteristic_spectrum`) or inside
+the scale-integration verification path of the wavelet estimator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .harmonics import L_MAX, wigner_d_stack
 from .kernels import KernelSpec, heat_coefficients, wavelet_coefficients
-from .rotations import Rotation, quat_cos_half_between, quat_to_euler_zyz
-from .spectra import FullSpectrum, zonal_synthesize
+from .rotations import Rotation, quat_to_euler_zyz
+from .spectra import _BLOCK, FullSpectrum, zonal_synthesize
 from .transform import scale_grid, synthesize, synthesize_at, wavelet_inverse
 
 __all__ = [
@@ -68,15 +71,27 @@ def _as_quat_array(x):
     raise ValueError("evaluation points must be a Rotation or an (..., 4) array")
 
 
-def _zonal_average(sample, coeffs, x, chunk=4096):
-    """Mean over the sample of the zonal function at relative angles to x."""
+def _zonal_average(sample, coeffs, x):
+    """Mean over the sample of the zonal function at relative angles to x.
+
+    Pairs are taken in blocks of about `_BLOCK` (sample rows x points), so
+    the work arrays stay the same size for any K and N.  A block's
+    cos(omega/2) values are one GEMM, |<X_k, x_j>| clamped to 1.
+    """
     pts, scalar = _as_quat_array(x)
     sq = sample.quaternions
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk):
-        piece = pts[start : start + chunk]
-        t = quat_cos_half_between(sq[:, None, :], piece[None, :, :])
-        out[start : start + chunk] = zonal_synthesize(coeffs, t).mean(axis=0)
+    cols = max(1, min(pts.shape[0], math.isqrt(_BLOCK)))
+    rows = _BLOCK // cols
+    out = np.zeros(pts.shape[0])
+    for p0 in range(0, pts.shape[0], cols):
+        piece_t = pts[p0 : p0 + cols].T
+        acc = out[p0 : p0 + cols]
+        for r0 in range(0, sq.shape[0], rows):
+            t = sq[r0 : r0 + rows] @ piece_t
+            np.abs(t, out=t)
+            np.minimum(t, 1.0, out=t)
+            acc += zonal_synthesize(coeffs, t).sum(axis=0)
+    out /= sq.shape[0]
     if scalar:
         return float(out[0])
     shape = np.asarray(x).shape[:-1] if not isinstance(x, Rotation) else ()
@@ -167,14 +182,21 @@ def wavelet_density_estimate(sample, t, x, via_scales=False, per_octave=32):
     `via_scales=True` the estimate is actually assembled from
     `characteristic_spectrum` scaled by psihat on a geometric scale grid and
     inverted -- the verification path, accurate to the scale-quadrature error
-    (about 1e-5 relative at the default grid density).
+    (about 1e-5 relative at the default grid density).  That path raises
+    ValueError when t needs a band above L_MAX rather than truncate the
+    spectrum.
     """
     if t <= 0:
         raise ValueError("scale must be positive")
     if not via_scales:
         return kernel_estimate(sample, KernelSpec("heat", t), x)
     L = heat_truncation_degree(t)
-    phi = characteristic_spectrum(sample, min(L, L_MAX))
+    if L > L_MAX:
+        raise ValueError(
+            f"heat time {t:g} needs band {L}, above L_MAX = {L_MAX}; "
+            "use the closed form (via_scales=False)"
+        )
+    phi = characteristic_spectrum(sample, L)
     ts = scale_grid(t, per_octave=per_octave)
     spectra = [phi.scale_per_degree(wavelet_coefficients(s, phi.lmax)) for s in ts]
     rec = wavelet_inverse(spectra, ts, dc=1.0)

@@ -26,15 +26,6 @@ __all__ = [
     "Rotation",
     "EulerZYZ",
     "AxisAngle",
-    "from_euler_zyz",
-    "to_euler_zyz",
-    "from_axis_angle",
-    "to_axis_angle",
-    "to_matrix",
-    "compose",
-    "inverse",
-    "angle",
-    "distance",
     "quat_canonicalize",
     "quat_multiply",
     "quat_conjugate",
@@ -285,40 +276,3 @@ class Rotation:
     def __hash__(self):
         return hash(self.q.tobytes())
 
-
-# module-level forms of the group operations
-
-def from_euler_zyz(e):
-    return Rotation.from_euler_zyz(e)
-
-
-def to_euler_zyz(r):
-    return r.to_euler_zyz()
-
-
-def from_axis_angle(a):
-    return Rotation.from_axis_angle(a)
-
-
-def to_axis_angle(r):
-    return r.to_axis_angle()
-
-
-def to_matrix(r):
-    return r.to_matrix()
-
-
-def compose(a, b):
-    return a.compose(b)
-
-
-def inverse(a):
-    return a.inverse()
-
-
-def angle(r):
-    return r.angle()
-
-
-def distance(a, b):
-    return a.distance(b)

@@ -7,9 +7,9 @@ angle marginal
     p(omega) = (2/pi) f(omega) sin^2(omega/2),   omega in [0, pi],
 
 by rejection against a uniform proposal (envelope from a 4096-point grid with
-a 1.01 safety factor), with the axis uniform on the sphere.  Mixtures choose a
-component multinomially and left-translate zonal draws by the component
-center.
+a 1.01 safety factor; a proposal above the envelope raises), with the axis
+uniform on the sphere.  Mixtures choose a component multinomially and
+left-translate zonal draws by the component center.
 
 RNG: numpy's PCG64 behind `numpy.random.default_rng`; every sampler accepts an
 integer seed, a SeedSequence, or an existing Generator, so callers can split
@@ -89,6 +89,8 @@ class RotationSample:
                     vals = [float(v) for v in row]
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: non-numeric quaternion") from None
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError(f"{path}: line {lineno}: non-finite quaternion")
                 norm = float(np.linalg.norm(vals))
                 if abs(norm - 1.0) > 1e-6:
                     raise ValueError(
@@ -136,6 +138,12 @@ def _zonal_angles(coeffs, K, rng):
         omega = rng.uniform(0.0, np.pi, n)
         u = rng.uniform(0.0, 1.0, n)
         _, p_omega = _angle_density(coeffs, omega)
+        over = int(np.count_nonzero(p_omega > envelope))
+        if over:
+            raise ValueError(
+                f"angle density exceeds the rejection envelope {envelope:.6g} at {over} of "
+                f"{n} proposals (peak {float(p_omega.max()):.6g}); samples would be biased"
+            )
         hits = u * envelope < p_omega
         n_hits = int(np.count_nonzero(hits))
         if n_hits >= K - filled:

@@ -43,25 +43,52 @@ __all__ = [
 ]
 
 
+#: elements per Clenshaw block: its four float64 work arrays (512 kB) stay in
+#: cache for all L steps, where whole-array steps would stream through memory
+_BLOCK = 1 << 14
+
+
 def zonal_synthesize(coeffs, cos_half):
     """Evaluate sum_ell (2*ell+1) coeffs[ell] chi^ell at cos(omega/2) values.
 
-    Fused with the Chebyshev recurrence so no (L+1, N) table is formed; this
-    is the inner loop of every zonal kernel evaluation.
+    chi^ell = 1 + 2 sum_{k<=ell} cos(k omega), so the sum is the cosine series
+    sum_k c_k cos(k omega) whose coefficients are tail sums of
+    (2*ell+1) coeffs[ell]: c_0 = tail_0 and c_k = 2 tail_k.  One Clenshaw
+    recurrence in x = cos(omega) = 2 cos^2(omega/2) - 1 evaluates it in L
+    steps, run in place over flat blocks of `_BLOCK` values with no
+    allocation per step; no (L+1, N) table is formed.  This is the inner loop
+    of every zonal kernel evaluation.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     t = np.asarray(cos_half, dtype=float)
-    L = coeffs.shape[0] - 1
-    acc = coeffs[0] * np.ones_like(t)
-    if L == 0:
-        return acc
-    u_prev = np.ones_like(t)
-    u = 2.0 * t
-    for k in range(2, 2 * L + 1):
-        u, u_prev = 2.0 * t * u - u_prev, u
-        if k % 2 == 0:
-            acc += (k + 1.0) * coeffs[k // 2] * u
-    return acc
+    c = np.cumsum(((2.0 * np.arange(coeffs.shape[0]) + 1.0) * coeffs)[::-1])[::-1]
+    c[1:] *= 2.0
+    L = c.shape[0] - 1
+    flat = t.reshape(-1)
+    out = np.empty(flat.shape[0])
+    work = np.empty((4, min(_BLOCK, flat.shape[0])))
+    for start in range(0, flat.shape[0], _BLOCK):
+        piece = flat[start : start + _BLOCK]
+        seg = out[start : start + _BLOCK]
+        two_x, y1, y2, w = work[:, : piece.shape[0]]
+        np.multiply(piece, piece, out=two_x)
+        two_x *= 4.0
+        two_x -= 2.0
+        # y_k = c_k + 2x y_{k+1} - y_{k+2} down from y_{L+1} = y_{L+2} = 0
+        y1.fill(c[L] if L else 0.0)
+        y2.fill(0.0)
+        for k in range(L - 1, 0, -1):
+            np.multiply(two_x, y1, out=w)
+            w -= y2
+            w += c[k]
+            y1, y2, w = w, y1, y2
+        # f = c_0 + x y_1 - y_2
+        np.multiply(two_x, y1, out=seg)
+        seg *= 0.5
+        seg -= y2
+        seg += c[0]
+    out = out.reshape(t.shape)
+    return out if out.ndim else out[()]
 
 
 def zonal_energy(coeffs):

@@ -204,6 +204,12 @@ def test_estimate_input_errors(tmp_path):
     assert cli.main(["estimate", "--config", cfg, str(bad)]) == 2
     bad.write_text("w,x,y,z\n2,0,0,0\n")
     assert cli.main(["estimate", "--config", cfg, str(bad)]) == 2
+    # a NaN row passes a norm test (abs(nan - 1) > tol is False); it must not
+    # reach the estimator and come out as a NaN field
+    out = tmp_path / "out"
+    bad.write_text("w,x,y,z\n1,0,0,0\nnan,0,0,0\n")
+    assert cli.main(["estimate", "--config", cfg, "--out", str(out), str(bad)]) == 2
+    assert not (out / "estimate.csv").exists()
 
 
 def test_config_errors_exit_2(tmp_path):

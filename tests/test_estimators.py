@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from so3density.estimators import (
     EstimatorSpec,
+    _zonal_average,
     characteristic_density_estimate,
     characteristic_spectrum,
     heat_truncation_degree,
@@ -20,9 +22,10 @@ from so3density.kernels import (
     vp_coefficients,
     wavelet_coefficients,
 )
+from so3density.harmonics import L_MAX, characters_all
 from so3density.rotations import Rotation, quat_cos_half_between
 from so3density.sampling import RotationSample, sample_mixture, sample_uniform, sample_zonal
-from so3density.spectra import MixtureComponent, ZonalMixture, zonal_synthesize
+from so3density.spectra import _BLOCK, MixtureComponent, ZonalMixture, zonal_synthesize
 from so3density.transform import QuadratureGrid, synthesize_at, wavelet_transform
 
 
@@ -108,6 +111,57 @@ def test_wavelet_estimate_scale_integration_path():
     # quadrature error shrinks with a denser scale grid
     via_dense = wavelet_density_estimate(s, 0.25, pts, via_scales=True, per_octave=128)
     assert np.max(np.abs(direct - via_dense)) < np.max(np.abs(direct - via))
+    # t = 0.002 needs band 163; the spectrum route refuses to truncate it
+    with pytest.raises(ValueError, match=f"band 163, above L_MAX = {L_MAX}"):
+        wavelet_density_estimate(s, 0.002, pts, via_scales=True)
+
+
+def test_zonal_average_blocks_match_direct_sum():
+    # the direct form: mean over the sample of sum_l (2l+1) a_l chi^l, with
+    # the characters from their own recurrence and one (K, N) table
+    coeffs = vp_coefficients(6)
+    weights = (2.0 * np.arange(coeffs.shape[0]) + 1.0) * coeffs
+
+    def direct(sample, q):
+        t = quat_cos_half_between(sample.quaternions[:, None, :], q.reshape(-1, 4)[None, :, :])
+        return np.einsum("l,lkn->n", weights, characters_all(coeffs.shape[0] - 1, t)) / len(
+            sample
+        )
+
+    rows = _BLOCK // math.isqrt(_BLOCK)
+    # K not a multiple of the block's row count, N over one block's columns
+    s = sample_uniform(3 * rows + 17, seed=41)
+    q = sample_uniform(2 * math.isqrt(_BLOCK) + 5, seed=42).quaternions
+    got = _zonal_average(s, coeffs, q)
+    assert got.shape == (q.shape[0],)
+    assert np.max(np.abs(got - direct(s, q))) < 1e-12
+    # one Rotation (one column, rows of _BLOCK) over more than one row block
+    big = sample_uniform(_BLOCK + 100, seed=43)
+    g = Rotation.from_axis_angle(((0.3, -1.0, 0.5), 1.3))
+    one = _zonal_average(big, coeffs, g)
+    assert isinstance(one, float)
+    assert abs(one - direct(big, g.q)[0]) < 1e-12
+    # any leading shape comes back as it went in
+    q234 = q[:6].reshape(2, 3, 4)
+    got = _zonal_average(s, coeffs, q234)
+    assert got.shape == (2, 3)
+    assert np.max(np.abs(got - direct(s, q234).reshape(2, 3))) < 1e-12
+
+
+def test_kernel_estimate_memory_is_bounded():
+    # K = 200000 against N = 64 points: one (K, N) float array is 102 MB and
+    # a (K, N, 4) broadcast product 410 MB; the blocked sum needs neither
+    K, N = 200_000, 64
+    s = sample_uniform(K, seed=5)
+    q = sample_uniform(N, seed=6).quaternions
+    tracemalloc.start()
+    try:
+        values = kernel_estimate(s, KernelSpec("char", 5), q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (N,) and np.all(np.isfinite(values))
+    assert peak < K * N * 8 / 20
 
 
 def test_estimates_have_unit_mass():

@@ -109,6 +109,14 @@ def test_acceptance_rate_bound():
         assert 20000 / proposed >= 1.0 / (np.pi * p.max()) - 0.01
 
 
+def test_undersized_envelope_raises(monkeypatch):
+    import so3density.sampling as sampling
+
+    monkeypatch.setattr(sampling, "_ENVELOPE_SAFETY", 0.5)
+    with pytest.raises(ValueError, match="exceeds the rejection envelope"):
+        sample_zonal(heat_coefficients(0.25, 30), 1000, seed=0)
+
+
 def test_mixture_counts_multinomial():
     m = positive_mixture()
     K = 10000
@@ -167,6 +175,10 @@ def test_csv_malformed_row_reports_line(tmp_path):
     path.write_text("w,x,y,z\n1,0,0\n")
     with pytest.raises(ValueError, match="line 2"):
         RotationSample.from_csv(path)
+    for row in ("nan,0,0,0", "1,0,inf,0", "-inf,nan,0,0"):
+        path.write_text(f"w,x,y,z\n1,0,0,0\n{row}\n")
+        with pytest.raises(ValueError, match="line 3: non-finite quaternion"):
+            RotationSample.from_csv(path)
 
 
 def test_csv_rejects_non_unit(tmp_path):

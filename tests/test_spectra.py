@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from so3density import spectra as S
-from so3density.harmonics import character_from_cos_half, wigner_D_of_rotation
+from so3density.harmonics import L_MAX, character_from_cos_half, wigner_D_of_rotation
 from so3density.rotations import Rotation
 
 rng = np.random.default_rng(911)
@@ -30,6 +30,28 @@ def test_zonal_synthesize_matches_character_sum():
     for ell, a in enumerate(coeffs):
         ref += (2 * ell + 1) * a * character_from_cos_half(ell, t)
     assert np.abs(S.zonal_synthesize(coeffs, t) - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [0, 1, 28, 72, L_MAX])
+def test_zonal_synthesize_matches_sine_ratio(L):
+    # sum_l (2l+1) a_l sin((2l+1) w/2) / sin(w/2), whose limit at w = 0 is
+    # sum_l (2l+1)^2 a_l; w = pi is included, and more values than one block
+    gen = np.random.default_rng(L)
+    a = gen.normal(size=L + 1)
+    w = np.concatenate([[0.0, np.pi], gen.uniform(0.0, np.pi, size=S._BLOCK + 999)])
+    n = 2.0 * np.arange(L + 1) + 1.0
+    ratio = np.empty((L + 1, w.shape[0]))
+    ratio[:, 0] = n
+    ratio[:, 1:] = np.sin(np.outer(n, w[1:] / 2.0)) / np.sin(w[1:] / 2.0)
+    ref = (n * a) @ ratio
+    got = S.zonal_synthesize(a, np.cos(w / 2.0))
+    assert got.shape == w.shape
+    scale = np.sum(n**2 * np.abs(a))  # bounds the sum at every w
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    assert abs(got[1] - np.sum(n * a * (-1.0) ** np.arange(L + 1))) <= 1e-13 * scale
+    # a 0-d input gives a scalar and any shape is kept
+    assert np.ndim(S.zonal_synthesize(a, 0.3)) == 0
+    assert S.zonal_synthesize(a, np.full((2, 3), 0.3)).shape == (2, 3)
 
 
 def test_zonal_energy_and_convolve():
