@@ -11,6 +11,18 @@ The profile array fixes the analysis band: degrees beyond its length do not
 enter any sum, and kernel coefficients are zero-padded or truncated to match.
 Minimizing per degree over Xihat gives the kernel-independent lower bound and
 the optimal multiplier Xihat* = K prof / ((K-1) prof + 1).
+
+The Monte Carlo check draws samples and measures each estimate's integrated
+squared error without a grid.  By Parseval and the addition theorem the ISE
+over degrees 1..L is three zonal sums, Z[c] = sum_ell (2 ell+1) c_ell chi^ell
+with c_0 = 0:
+
+    ISE = K^-2 sum_{a,b} Z[Xihat^2](X_a^-1 X_b)
+          - 2 sum_i w_i K^-1 sum_k Z[Xihat a_i](X_k^-1 c_i) + ||f||^2_{ell>=1}
+
+for a density made of zonal bumps a_i of weight w_i centred at c_i.  Each
+sum is one blocked pass of the estimators' zonal engine; a quadrature grid,
+when given, only fixes the band L.
 """
 
 from __future__ import annotations
@@ -20,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import characteristic_spectrum, kernel_band
+from .estimators import _zonal_average, kernel_band
 from .kernels import KernelSpec
 from .sampling import sample_mixture
-from .transform import QuadratureGrid, synthesize
+from .spectra import _pad
 
 __all__ = [
     "mise",
@@ -133,28 +145,40 @@ def monte_carlo_ise_study(m, specs, K, trials, seed, grid=None):
     """Monte Carlo ISE for several estimators on shared per-trial samples.
 
     Returns (means, stderrs) arrays aligned with `specs`.  Each trial draws one
-    sample of size K, forms each estimate on the quadrature grid, and
-    integrates (zeta - f)^2 exactly (both factors are band-limited within the
-    grid).  Trials are seeded from spawned child sequences, so a fixed seed
-    fixes every sample regardless of how many estimators share it.
+    sample X_1..X_K and computes each estimator's ISE ||zeta_j - f||^2 over
+    the degrees 1..L by Parseval and the addition theorem, as zonal sums:
+
+        ISE_j = K^-2 sum_{a,b} Z[xi_j^2](X_a^-1 X_b)
+                - 2 sum_i w_i K^-1 sum_k Z[xi_j a_i](X_k^-1 c_i) + ||f||^2_{l>=1},
+
+    where Z[c] = sum_l (2l+1) c_l chi^l with c_0 = 0, and w_i, a_i, c_i are
+    the mixture components' weights, coefficients and centers.  Degree 0
+    drops out: every kernel and the density have unit mass.  Each sum is one
+    blocked pass of `estimators._zonal_average`, so a trial builds no Wigner
+    matrix and no grid, and its memory stays bounded for any K.
+
+    `grid` only fixes the analysis band L = grid.L (the mixture band m.lmax
+    when omitted), which must cover the mixture; the kernels are truncated
+    to min(L, largest kernel band), as on a grid of that bandlimit.  Trials
+    are seeded from spawned child sequences, so a fixed seed fixes every
+    sample regardless of how many estimators share it.
     """
     kernels = [_kernel_of(s) for s in specs]
-    if grid is None:
-        grid = QuadratureGrid(m.lmax)
-    if m.lmax > grid.L:
+    L = m.lmax if grid is None else grid.L
+    if m.lmax > L:
         raise ValueError("grid bandlimit below the mixture band")
-    f_grid = synthesize(grid, m.full_spectrum(grid.L))
-    band = min(grid.L, max(kernel_band(k) for k in kernels))
-    coeff_rows = [k.coefficients(band) for k in kernels]
+    f_norm = m.norm_squared(L) - m.energy_per_degree(L)[0]
+    band = min(L, max(kernel_band(k) for k in kernels))
+    xis = [np.concatenate([[0.0], k.coefficients(band)[1:]]) for k in kernels]
+    comps = [(c.weight * _pad(c.coefficients, band), c.center) for c in m.components]
     children = np.random.SeedSequence(seed).spawn(trials)
     ises = np.empty((trials, len(kernels)))
     for i, child in enumerate(children):
         sample = sample_mixture(m, K, seed=child)
-        # one empirical spectrum per trial covers every estimator band
-        phi = characteristic_spectrum(sample, band)
-        for j, coeffs in enumerate(coeff_rows):
-            zeta = synthesize(grid, phi.scale_per_degree(coeffs))
-            ises[i, j] = grid.integrate((zeta - f_grid) ** 2)
+        for j, xi in enumerate(xis):
+            own = np.mean(_zonal_average(sample, xi**2, sample.quaternions))
+            mixed = sum(_zonal_average(sample, xi * wa, center) for wa, center in comps)
+            ises[i, j] = own - 2.0 * mixed + f_norm
     means = ises.mean(axis=0)
     stderrs = ises.std(axis=0, ddof=1) / np.sqrt(trials)
     return means, stderrs

@@ -81,20 +81,33 @@ def character(ell, r):
 def characters_all(L, cos_half):
     """chi^ell for all ell = 0..L, shape (L+1,) + shape(cos_half).
 
-    One shared Chebyshev recurrence; the characters sit at the even orders.
+    L steps of chi^{ell+1} = 2x chi^ell - chi^{ell-1}, x = cos(omega), from
+    chi^0 = 1 and chi^1 = 2x + 1, each step written in place into its row of
+    the output.  The steps run in Reinsch's difference form with
+    u = 2 - 2x = 4 (1 - t)(1 + t), t = cos(omega/2):
+
+        delta_{ell+1} = delta_ell - u chi^ell,  chi^{ell+1} = chi^ell + delta_{ell+1},
+
+    delta_ell = chi^ell - chi^{ell-1}.  Near omega = 0 the rounding of x
+    itself would cost about ell^3 ulps (3e-13 relative at L_MAX); u keeps its
+    full relative precision there, and the error stays near 2e-14 of 2l+1.
     """
     L = _check_degree(L)
     t = np.asarray(cos_half, dtype=float)
     out = np.empty((L + 1,) + t.shape)
-    u_prev = np.ones_like(t)
-    out[0] = u_prev
+    out[0] = 1.0
     if L == 0:
         return out
-    u = 2.0 * t
-    for k in range(2, 2 * L + 1):
-        u, u_prev = 2.0 * t * u - u_prev, u
-        if k % 2 == 0:
-            out[k // 2] = u
+    rows = out.reshape(L + 1, -1)  # a view whose rows are arrays, also for 0-d input
+    t = t.reshape(-1)
+    u = 4.0 * (1.0 - t) * (1.0 + t)
+    delta = 2.0 - u
+    np.add(delta, 1.0, out=rows[1])
+    for ell in range(1, L):
+        nxt = rows[ell + 1]
+        np.multiply(u, rows[ell], out=nxt)
+        delta -= nxt
+        np.add(rows[ell], delta, out=nxt)
     return out
 
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy.integrate import quad
 
 from .spectra import zonal_synthesize
 
@@ -133,6 +132,10 @@ def admissibility_residual(ell, rho):
     the reconstruction identity.  Degree 0 returns 1: the constant mode is
     outside the wavelet span.
     """
+    # scipy is imported here, not at module load, where it would be most of
+    # the package's import time
+    from scipy.integrate import quad
+
     if ell == 0:
         return 1.0
     a = ell * (ell + 1)

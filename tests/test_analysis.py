@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -13,6 +15,9 @@ from so3density.analysis import (
     wavelet_mise,
     wavelet_mise_first_order,
 )
+from so3density.cli import _grid_route_ise
+from so3density.config import ExperimentConfig
+from so3density.estimators import EstimatorSpec
 from so3density.kernels import (
     KernelSpec,
     characteristic_coefficients,
@@ -194,7 +199,7 @@ def test_monte_carlo_shares_samples_across_estimators():
     specs = [KernelSpec("heat", 0.2), KernelSpec("char", 3)]
     means, ses = monte_carlo_ise_study(m, specs, 40, 30, seed=9, grid=grid)
     single, _ = monte_carlo_ise(m, specs[1], 40, 30, seed=9, grid=grid)
-    # same trial samples; only the synthesis padding (and hence summation
+    # same trial samples; only the shared kernel band (and hence summation
     # order) differs between the shared and solo runs
     assert means[1] == pytest.approx(single, rel=1e-12)
     assert means.shape == (2,) and ses.shape == (2,)
@@ -215,6 +220,46 @@ def test_monte_carlo_rejects_undersized_grid():
     m, _ = study_profile()
     with pytest.raises(ValueError, match="bandlimit"):
         monte_carlo_ise(m, KernelSpec("char", 3), 10, 2, seed=0, grid=QuadratureGrid(20))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["study mixture", "uniform control", "kernel band below grid"],
+)
+def test_monte_carlo_zonal_route_matches_grid_route(case):
+    # the study's zonal sums against synthesizing and integrating each
+    # estimate on the grid, on the same seeded samples
+    if case == "study mixture":
+        m = ExperimentConfig.default().build_mixture()
+        grid = QuadratureGrid(49)
+        texts = ExperimentConfig.default().mc_estimators
+    elif case == "uniform control":
+        m = ZonalMixture(1.0, ())
+        grid = QuadratureGrid(6)
+        texts = ["characteristic:3"]
+    else:
+        m = small_mixture()
+        grid = QuadratureGrid(12)
+        texts = ["characteristic:3", "kernel:vp:5"]
+    specs = [EstimatorSpec.from_text(t) for t in texts]
+    means, ses = monte_carlo_ise_study(m, specs, 80, 2, seed=21, grid=grid)
+    ref_means, ref_ses = _grid_route_ise(m, specs, 80, 2, 21, grid)
+    assert np.all(np.abs(means - ref_means) <= 1e-10 * np.abs(ref_means))
+    assert np.all(np.abs(ses - ref_ses) <= 1e-8 * np.abs(ref_ses))
+
+
+def test_monte_carlo_memory_is_bounded():
+    # no K x K table: one per degree would take (L+1) K^2 floats, 830 MB here
+    m = ExperimentConfig.default().build_mixture()
+    specs = [EstimatorSpec.from_text(t) for t in ExperimentConfig.default().mc_estimators]
+    tracemalloc.start()
+    try:
+        means, _ = monte_carlo_ise_study(m, specs, 1500, 2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(means))
+    assert peak < 8e6
 
 
 def test_mise_curve_csv(tmp_path):

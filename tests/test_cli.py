@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -7,8 +9,10 @@ import pytest
 import so3density.cli as cli
 from so3density.analysis import MiseCurve
 from so3density.config import ComponentConfig, ExperimentConfig, parse_angle
+from so3density.estimators import EstimatorSpec
 from so3density.sampling import RotationSample
 from so3density.svg import line_plot
+from so3density.transform import QuadratureGrid
 
 
 SMALL_CFG = """
@@ -187,12 +191,31 @@ def test_sample_estimate_round_trip(tmp_path):
     lines = (out / "estimate.csv").read_text().splitlines()
     assert lines[0] == "phi,theta,psi,value"
     values = np.array([float(l.split(",")[3]) for l in lines[1:]])
-    from so3density.transform import QuadratureGrid
-
     grid = QuadratureGrid(12)
     assert values.shape[0] == np.prod(grid.shape)
     mass = float(np.sum(grid.weights().ravel() * values))
     assert abs(mass - 1.0) < 1e-8
+
+
+def test_estimate_csv_matches_csv_writer(tmp_path):
+    # the sliced writer emits exactly the bytes of one csv.writer row per node
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["estimate", "--config", cfg, "--out", str(out), str(out / "sample.csv")]) == 0
+    config = ExperimentConfig.from_file(cfg)
+    grid = QuadratureGrid(config.bandlimit)
+    field = EstimatorSpec.from_text(config.estimate_spec).estimate_on_grid(
+        RotationSample.from_csv(out / "sample.csv"), grid
+    )
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["phi", "theta", "psi", "value"])
+    for i, theta in enumerate(grid.thetas):
+        for j, phi in enumerate(grid.phis):
+            for k, psi in enumerate(grid.psis):
+                w.writerow([f"{phi:.17g}", f"{theta:.17g}", f"{psi:.17g}", f"{field[i, j, k]:.17g}"])
+    assert (out / "estimate.csv").read_bytes() == ref.getvalue().encode()
 
 
 def test_estimate_input_errors(tmp_path):

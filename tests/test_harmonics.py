@@ -78,6 +78,23 @@ def test_character_closed_forms():
         assert np.abs(chi - ref).max() < 1e-11
 
 
+def test_characters_all_against_sine_ratio_at_l_max():
+    # chi^l = sin((2l+1) w/2) / sin(w/2) with w/2 = arccos of the given input,
+    # whose limit at cos_half = 1 is 2l+1; cos_half = 0 gives (-1)^l
+    L = H.L_MAX
+    t = np.concatenate([[1.0, 0.0], np.cos(rng.uniform(0.0, np.pi, size=4000) / 2.0)])
+    half = np.arccos(t[1:])
+    n = 2.0 * np.arange(L + 1) + 1.0
+    ref = np.empty((L + 1, t.shape[0]))
+    ref[:, 0] = n
+    ref[:, 1:] = np.sin(np.outer(n, half)) / np.sin(half)
+    chi = H.characters_all(L, t)
+    assert chi.shape == ref.shape
+    assert np.max(np.abs(chi - ref) / n[:, None]) <= 5e-14
+    assert np.all(chi[:, 0] == n)
+    assert H.characters_all(3, 0.5).shape == (4,)
+
+
 def test_chebyshev_u_against_sine_ratio():
     t = rng.uniform(-0.99, 0.99, size=32)
     a = np.arccos(t)
