@@ -44,7 +44,6 @@ __all__ = [
     "wavelet_mise_first_order",
     "optimal_mise_bound",
     "optimal_kernel_coefficients",
-    "monte_carlo_ise",
     "monte_carlo_ise_study",
     "MiseCurve",
 ]
@@ -161,8 +160,11 @@ def monte_carlo_ise_study(m, specs, K, trials, seed, grid=None):
     when omitted), which must cover the mixture; the kernels are truncated
     to min(L, largest kernel band), as on a grid of that bandlimit.  Trials
     are seeded from spawned child sequences, so a fixed seed fixes every
-    sample regardless of how many estimators share it.
+    sample regardless of how many estimators share it.  At least two trials
+    are needed for a standard error.
     """
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
     kernels = [_kernel_of(s) for s in specs]
     L = m.lmax if grid is None else grid.L
     if m.lmax > L:
@@ -182,12 +184,6 @@ def monte_carlo_ise_study(m, specs, K, trials, seed, grid=None):
     means = ises.mean(axis=0)
     stderrs = ises.std(axis=0, ddof=1) / np.sqrt(trials)
     return means, stderrs
-
-
-def monte_carlo_ise(m, spec, K, trials, seed, grid=None):
-    """(mean ISE, standard error) of one estimator over `trials` fresh samples."""
-    means, stderrs = monte_carlo_ise_study(m, [spec], K, trials, seed, grid=grid)
-    return float(means[0]), float(stderrs[0])
 
 
 @dataclass(frozen=True)

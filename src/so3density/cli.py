@@ -33,7 +33,7 @@ from .estimators import (
     kernel_estimate,
     wavelet_density_estimate,
 )
-from .harmonics import addition_evaluate, character, characters_all, wigner_d_stack
+from .harmonics import addition_evaluate, character, characters_all
 from .kernels import (
     KernelSpec,
     admissibility_residual,
@@ -269,13 +269,13 @@ def run_selfcheck(seed=0, bandlimit=49):
     gram = np.einsum("itpq,jtpq,tpq->ij", chars, chars, w)
     check("character orthogonality (l,l' <= 20)", np.max(np.abs(gram - np.eye(21))), 1e-10)
 
-    thetas = np.linspace(0.1, np.pi - 0.1, 8)
-    d = wigner_d_stack(32, thetas)
+    # the grid's own polar tables, at its Gauss-Legendre nodes
+    top = min(32, grid.L)
     dev = max(
-        float(np.max(np.abs(np.einsum("knm,kpm->knp", d[ell], d[ell]) - np.eye(2 * ell + 1))))
-        for ell in range(33)
+        float(np.max(np.abs(d @ d.transpose(0, 2, 1) - np.eye(2 * ell + 1))))
+        for ell, d in enumerate(grid.d_stack[: top + 1])
     )
-    check("Wigner-d orthogonality (l <= 32)", dev, 1e-10)
+    check(f"Wigner-d orthogonality (l <= {top})", dev, 1e-10)
 
     rng = np.random.default_rng(seed)
     dev = 0.0

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import L_MAX, wigner_d_stack
+from .harmonics import L_MAX, _conj_wigner_sum
 from .kernels import KernelSpec, heat_coefficients, wavelet_coefficients
-from .rotations import Rotation, quat_to_euler_zyz
+from .rotations import Rotation
 from .spectra import _BLOCK, FullSpectrum, zonal_synthesize
 from .transform import scale_grid, synthesize, synthesize_at, wavelet_inverse
 
@@ -122,30 +122,13 @@ def characteristic_spectrum(sample, L):
     """Empirical characteristic function PhiHat^ell_nm = K^{-1} sum conj(D_nm(X_k)).
 
     Degree-0 block is exactly 1; every entry is bounded by 1 in magnitude.
-    Sample chunking keeps the Wigner work arrays near 160 MB however large K
-    grows.
+    One weighted Wigner-D sum over the sample (`harmonics._conj_wigner_sum`),
+    whose chunks keep the work arrays near 160 MB however large K grows.
     """
     if not 0 <= L <= L_MAX:
         raise ValueError(f"degree must lie in [0, {L_MAX}]")
     sq = sample.quaternions
-    K = sq.shape[0]
-    per_sample = sum((2 * ell + 1) ** 2 for ell in range(L + 1))
-    chunk = max(32, min(16384, int(2e7 / per_sample)))
-    blocks = [np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(L + 1)]
-    n_all = np.arange(-L, L + 1)
-    for start in range(0, K, chunk):
-        piece = sq[start : start + chunk]
-        phi, theta, psi = quat_to_euler_zyz(piece)
-        d = wigner_d_stack(L, theta)
-        e_n = np.exp(1j * phi[:, None] * n_all[None, :])
-        e_m = np.exp(1j * psi[:, None] * n_all[None, :])
-        for ell in range(L + 1):
-            sl = slice(L - ell, L + ell + 1)
-            blocks[ell] += np.einsum(
-                "kn,knm,km->nm", e_n[:, sl], d[ell], e_m[:, sl], optimize=True
-            )
-    for ell in range(L + 1):
-        blocks[ell] /= K
+    blocks = _conj_wigner_sum(L, sq, 1.0 / sq.shape[0])
     blocks[0][0, 0] = 1.0
     return FullSpectrum(blocks)
 

@@ -1,37 +1,36 @@
 """Special functions of SO(3) harmonic analysis.
 
-Chebyshev polynomials of the second kind, group characters chi^ell, and
-Wigner-D matrices.  Conventions:
+Group characters chi^ell and Wigner-D matrices.  Conventions:
 
 * ``D^ell_{nm}(phi, theta, psi) = exp(-i n phi) d^ell_{nm}(theta) exp(-i m psi)``
   with rows/columns indexed by n, m = -ell..ell in increasing order;
 * the real polar part satisfies ``d^ell(theta) = expm(-i theta J_y)`` in the
   same index convention, which fixes all signs (spin-1 block equals the
   Cartesian rotation matrix conjugated into the spherical basis);
-* ``chi^ell(x) = trace D^ell(x) = U_{2 ell}(cos(omega/2))`` where omega is the
-  rotation angle of x.
+* ``chi^ell(x) = trace D^ell(x) = sin((2 ell+1) omega/2) / sin(omega/2)``
+  where omega is the rotation angle of x; every character value comes from
+  the one recurrence of `characters_all` in cos(omega/2) = |q_w|.
 
 The polar matrices are built by a half-angle degree recurrence (two half-steps
 per degree, each coupling neighbouring entries with sqrt factors).  It is
 numerically stable far beyond the degrees where factorial formulas overflow
-and is vectorized over a batch of angles, which is what the transforms and the
-empirical characteristic function need.
+and is vectorized over a batch of angles.  Every Wigner-D sum over rotations
+(the empirical characteristic function, a mixture's spectrum, pointwise
+synthesis) takes its tables from the one chunked routine `_wigner_chunks`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rotations import Rotation, quat_angle
+from .rotations import Rotation, quat_to_euler_zyz
 
 #: hard cap on the harmonic degree; keeps full-spectrum memory in the tens of MB
 L_MAX = 128
 
 __all__ = [
     "L_MAX",
-    "chebyshev_u",
     "character",
-    "character_from_cos_half",
     "characters_all",
     "wigner_d",
     "wigner_d_stack",
@@ -49,33 +48,14 @@ def _check_degree(ell):
     return ell
 
 
-def chebyshev_u(n, t):
-    """U_n(t) by the forward three-term recurrence U_{k+1} = 2 t U_k - U_{k-1}."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    t = np.asarray(t, dtype=float)
-    u_prev = np.ones_like(t)
-    if n == 0:
-        return u_prev if u_prev.ndim else float(u_prev)
-    u = 2.0 * t
-    for _ in range(n - 1):
-        u, u_prev = 2.0 * t * u - u_prev, u
-    return u if u.ndim else float(u)
-
-
-def character_from_cos_half(ell, cos_half):
-    """chi^ell as U_{2 ell}(cos(omega/2)); no 0/0 at omega = 0."""
-    _check_degree(ell)
-    return chebyshev_u(2 * ell, cos_half)
-
-
 def character(ell, r):
-    """Group character chi^ell(r); equals 2*ell + 1 at the identity."""
-    if isinstance(r, Rotation):
-        omega = r.angle()
-    else:
-        omega = quat_angle(r)
-    return character_from_cos_half(ell, np.cos(np.asarray(omega) / 2.0))
+    """Group character chi^ell(r); equals 2*ell + 1 at the identity.
+
+    `r` is a Rotation or a quaternion array (..., 4); the value is row ell of
+    `characters_all` at cos(omega/2) = |q_w|.
+    """
+    q = r.q if isinstance(r, Rotation) else np.asarray(r, dtype=float)
+    return characters_all(ell, np.minimum(np.abs(q[..., 0]), 1.0))[ell]
 
 
 def characters_all(L, cos_half):
@@ -172,16 +152,54 @@ def wigner_D(ell, euler):
     return np.exp(-1j * n[:, None] * phi) * d * np.exp(-1j * n[None, :] * psi)
 
 
-def wigner_D_of_rotation(ell, r):
-    return wigner_D(ell, r.to_euler_zyz())
-
-
 def addition_evaluate(ell, x, y):
     """The double sum sum_{n,m} conj(D^ell_{nm}(x)) D^ell_{nm}(y).
 
     Test oracle for the addition property: the value equals
     chi^ell(x^{-1} y) (real up to rounding).
     """
-    dx = wigner_D_of_rotation(ell, x)
-    dy = wigner_D_of_rotation(ell, y)
+    dx = wigner_D(ell, x.to_euler_zyz())
+    dy = wigner_D(ell, y.to_euler_zyz())
     return complex(np.sum(np.conj(dx) * dy))
+
+
+def _wigner_chunks(L, q):
+    """Wigner-D factors of the rotations q, shape (K, 4), chunk by chunk.
+
+    Yields (rows, e_n, d, e_m) for consecutive slices `rows` of q, with
+
+        D^ell_nm(q_k) = e_n[k, n] d[ell][k, n, m] e_m[k, m],
+
+    e_n = exp(-i n phi) and e_m = exp(-i m psi) over n = -L..L (degree ell
+    takes columns L-ell..L+ell) and d = wigner_d_stack(L, theta).  A chunk
+    holds about 2e7 table entries (160 MB) however large K grows.
+    """
+    L = _check_degree(L)
+    per_rotation = sum((2 * ell + 1) ** 2 for ell in range(L + 1))
+    chunk = max(32, min(16384, int(2e7 / per_rotation)))
+    n_all = np.arange(-L, L + 1)
+    for start in range(0, q.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        phi, theta, psi = quat_to_euler_zyz(q[rows])
+        e_n = np.exp(-1j * phi[:, None] * n_all[None, :])
+        e_m = np.exp(-1j * psi[:, None] * n_all[None, :])
+        yield rows, e_n, wigner_d_stack(L, theta), e_m
+
+
+def _conj_wigner_sum(L, q, weights):
+    """Blocks sum_k weights[k, ell] conj(D^ell(q_k)) for ell = 0..L.
+
+    `weights` broadcasts to (K, L+1).  The empirical characteristic function
+    (weights 1/K over a sample) and a zonal mixture's spectrum (weights
+    w_i a_i^ell over its centres) are both this sum.
+    """
+    weights = np.broadcast_to(weights, (q.shape[0], L + 1))
+    blocks = [np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(L + 1)]
+    for rows, e_n, d, e_m in _wigner_chunks(L, q):
+        e_n, e_m, w = np.conj(e_n), np.conj(e_m), weights[rows]
+        for ell in range(L + 1):
+            sl = slice(L - ell, L + ell + 1)
+            blocks[ell] += np.einsum(
+                "kn,knm,km->nm", w[:, ell, None] * e_n[:, sl], d[ell], e_m[:, sl], optimize=True
+            )
+    return blocks

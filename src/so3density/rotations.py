@@ -25,7 +25,6 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "Rotation",
     "EulerZYZ",
-    "AxisAngle",
     "quat_canonicalize",
     "quat_multiply",
     "quat_conjugate",
@@ -115,15 +114,16 @@ def quat_from_euler_zyz(phi, theta, psi):
 def quat_to_euler_zyz(q):
     """Extract (phi, theta, psi) with phi, psi in [0, 2*pi), theta in [0, pi].
 
-    Gimbal cases theta in {0, pi} assign the whole in-plane angle to phi and
-    set psi = 0.
+    theta = 2 atan2(|(x, y)|, |(w, z)|) keeps full relative precision near
+    the poles, where arccos(R22) would resolve it only to ~1e-8.  Gimbal cases
+    theta in {0, pi} assign the whole in-plane angle to phi and set psi = 0.
     """
     q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     r22 = 1.0 - 2.0 * (x * x + y * y)
     r02 = 2.0 * (x * z + w * y)
     r12 = 2.0 * (y * z - w * x)
-    theta = np.arccos(np.clip(r22, -1.0, 1.0))
+    theta = 2.0 * np.arctan2(np.hypot(x, y), np.hypot(w, z))
     regular = r02 * r02 + r12 * r12 > 1e-24
     r21 = 2.0 * (y * z + w * x)
     r20 = 2.0 * (x * z - w * y)
@@ -158,13 +158,6 @@ class EulerZYZ(NamedTuple):
     phi: float
     theta: float
     psi: float
-
-
-class AxisAngle(NamedTuple):
-    """Unit rotation axis and angle in [0, pi], radians."""
-
-    axis: tuple
-    angle: float
 
 
 class Rotation:
@@ -222,16 +215,6 @@ class Rotation:
         h = ang / 2.0
         return cls(math.cos(h), *(math.sin(h) * axis))
 
-    def to_axis_angle(self):
-        """Axis/angle.  The identity has no axis; (0, 0, 1) is returned by convention."""
-        w = min(abs(float(self.q[0])), 1.0)
-        ang = 2.0 * math.acos(w)
-        s = math.sqrt(max(1.0 - w * w, 0.0))
-        if s < 1e-12:
-            return AxisAngle((0.0, 0.0, 1.0), ang)
-        v = self.q[1:] / s
-        return AxisAngle((float(v[0]), float(v[1]), float(v[2])), ang)
-
     def to_matrix(self):
         return quat_to_matrix(self.q)
 
@@ -247,10 +230,6 @@ class Rotation:
     def angle(self):
         """Rotation angle omega in [0, pi] (equals arccos((tr R - 1)/2))."""
         return float(quat_angle(self.q))
-
-    def distance(self, other):
-        """Bi-invariant metric: angle of the relative rotation."""
-        return 2.0 * math.acos(float(quat_cos_half_between(self.q, other.q)))
 
     # -- serialization: "w x y z", full double precision
 

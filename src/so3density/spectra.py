@@ -24,12 +24,11 @@ entrywise: (f * h)^hat = fhat hhat.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import L_MAX, characters_all, wigner_D_of_rotation
+from .harmonics import L_MAX, _conj_wigner_sum, characters_all
 from .rotations import Rotation, quat_cos_half_between
 
 __all__ = [
@@ -181,37 +180,6 @@ class FullSpectrum:
         w = 2.0 * np.arange(len(self.blocks)) + 1.0
         return float(np.sum(w**2 * self.energy_per_degree()))
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["ell", "n", "m", "re", "im"])
-            for ell, b in enumerate(self.blocks):
-                for i in range(2 * ell + 1):
-                    for j in range(2 * ell + 1):
-                        w.writerow(
-                            [ell, i - ell, j - ell, f"{b[i, j].real:.17g}", f"{b[i, j].imag:.17g}"]
-                        )
-
-    @classmethod
-    def from_csv(cls, path):
-        rows = []
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if header[:3] != ["ell", "n", "m"]:
-                raise ValueError(f"unexpected spectrum header: {header}")
-            for row in r:
-                rows.append((int(row[0]), int(row[1]), int(row[2]), float(row[3]), float(row[4])))
-        if not rows:
-            raise ValueError("empty spectrum file")
-        L = max(row[0] for row in rows)
-        blocks = [np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(L + 1)]
-        for ell, n, m, re, im in rows:
-            if abs(n) > ell or abs(m) > ell:
-                raise ValueError(f"index ({n}, {m}) out of range for degree {ell}")
-            blocks[ell][n + ell, m + ell] = re + 1j * im
-        return cls(blocks)
-
 
 @dataclass(frozen=True)
 class MixtureComponent:
@@ -290,14 +258,11 @@ class ZonalMixture:
 
     def full_spectrum(self, L=None):
         """Matrix coefficients: fhat^ell = sum_i w_i a_i^ell conj(D^ell(c_i))
-        plus the uniform mass at ell = 0."""
+        plus the uniform mass at ell = 0; one Wigner-D sum over the centres."""
         if L is None:
             L = self.lmax
-        blocks = [np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(L + 1)]
-        blocks[0][0, 0] = self.uniform_weight
-        for c in self.components:
-            a = _pad(c.coefficients, L)
-            for ell in range(L + 1):
-                if a[ell] != 0.0:
-                    blocks[ell] += c.weight * a[ell] * np.conj(wigner_D_of_rotation(ell, c.center))
+        centers = np.array([c.center.q for c in self.components]).reshape(-1, 4)
+        weights = np.array([c.weight * _pad(c.coefficients, L) for c in self.components])
+        blocks = _conj_wigner_sum(L, centers, weights.reshape(-1, L + 1))
+        blocks[0][0, 0] += self.uniform_weight
         return FullSpectrum(blocks)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harmonics import L_MAX, wigner_d_stack
+from .harmonics import L_MAX, _wigner_chunks, wigner_d_stack
 from .kernels import alpha, wavelet_coefficients
-from .rotations import quat_from_euler_zyz, quat_to_euler_zyz
+from .rotations import quat_from_euler_zyz
 from .spectra import FullSpectrum
 
 __all__ = [
@@ -132,25 +132,25 @@ def synthesize(grid, spectrum):
     return _synthesize_complex(grid, spectrum).real
 
 
-def synthesize_at(spectrum, q, chunk=256):
-    """Pointwise synthesis at arbitrary quaternions, shape (..., 4)."""
+def synthesize_at(spectrum, q):
+    """Values of sum_ell (2 ell+1) sum_nm fhat_nm D^ell_nm at quaternions (..., 4).
+
+    The points run through the chunks of `harmonics._wigner_chunks`, each
+    contracted per point and degree; as in `synthesize`, the spectrum should
+    describe a real function and the real part is returned.
+    """
     q = np.asarray(q, dtype=float)
     flat = q.reshape(-1, 4)
     out = np.zeros(flat.shape[0])
     L = spectrum.lmax
-    for start in range(0, flat.shape[0], chunk):
-        piece = flat[start : start + chunk]
-        phi, theta, psi = quat_to_euler_zyz(piece)
-        d = wigner_d_stack(L, theta)
-        acc = np.zeros(piece.shape[0], dtype=complex)
+    for rows, e_n, d, e_m in _wigner_chunks(L, flat):
+        acc = np.zeros(e_n.shape[0], dtype=complex)
         for ell in range(L + 1):
-            n = np.arange(-ell, ell + 1)
-            en = np.exp(-1j * phi[:, None] * n[None, :])
-            em = np.exp(-1j * psi[:, None] * n[None, :])
+            sl = slice(L - ell, L + ell + 1)
             acc += (2 * ell + 1) * np.einsum(
-                "knm,kn,km,nm->k", d[ell], en, em, spectrum[ell], optimize=True
+                "knm,kn,km,nm->k", d[ell], e_n[:, sl], e_m[:, sl], spectrum[ell], optimize=True
             )
-        out[start : start + chunk] = acc.real
+        out[rows] = acc.real
     return out.reshape(q.shape[:-1])
 
 

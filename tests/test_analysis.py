@@ -8,7 +8,6 @@ from so3density.analysis import (
     MiseCurve,
     bias_variance_split,
     mise,
-    monte_carlo_ise,
     monte_carlo_ise_study,
     optimal_kernel_coefficients,
     optimal_mise_bound,
@@ -176,6 +175,9 @@ def test_input_validation():
         wavelet_mise(prof, -1.0, 10)
     with pytest.raises(ValueError):
         mise(np.zeros((2, 2)), np.array([1.0]), 10)
+    # one trial has no standard error
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        monte_carlo_ise_study(small_mixture(), [KernelSpec("char", 3)], 10, 1, seed=0)
 
 
 def test_monte_carlo_matches_analytic():
@@ -186,10 +188,10 @@ def test_monte_carlo_matches_analytic():
     # the grid caps the estimator band at 8, so the matching closed form uses
     # the same truncation
     target = mise(prof, heat_coefficients(0.2, 8), 60)
-    mean, se = monte_carlo_ise(m, spec, 60, 80, seed=5, grid=grid)
+    (mean,), (se,) = monte_carlo_ise_study(m, [spec], 60, 80, seed=5, grid=grid)
     assert abs(mean - target) <= 3.0 * se
     # deterministic under a fixed seed
-    mean2, se2 = monte_carlo_ise(m, spec, 60, 80, seed=5, grid=grid)
+    (mean2,), (se2,) = monte_carlo_ise_study(m, [spec], 60, 80, seed=5, grid=grid)
     assert mean2 == mean and se2 == se
 
 
@@ -198,7 +200,7 @@ def test_monte_carlo_shares_samples_across_estimators():
     grid = QuadratureGrid(8)
     specs = [KernelSpec("heat", 0.2), KernelSpec("char", 3)]
     means, ses = monte_carlo_ise_study(m, specs, 40, 30, seed=9, grid=grid)
-    single, _ = monte_carlo_ise(m, specs[1], 40, 30, seed=9, grid=grid)
+    (single,), _ = monte_carlo_ise_study(m, specs[1:], 40, 30, seed=9, grid=grid)
     # same trial samples; only the shared kernel band (and hence summation
     # order) differs between the shared and solo runs
     assert means[1] == pytest.approx(single, rel=1e-12)
@@ -212,14 +214,14 @@ def test_monte_carlo_uniform_control():
     spec = KernelSpec("char", 3)
     prof = m.energy_per_degree(6)
     target = mise(prof, characteristic_coefficients(3, 6), 50)
-    mean, se = monte_carlo_ise(m, spec, 50, 60, seed=11, grid=grid)
+    (mean,), (se,) = monte_carlo_ise_study(m, [spec], 50, 60, seed=11, grid=grid)
     assert abs(mean - target) <= 3.0 * se
 
 
 def test_monte_carlo_rejects_undersized_grid():
     m, _ = study_profile()
     with pytest.raises(ValueError, match="bandlimit"):
-        monte_carlo_ise(m, KernelSpec("char", 3), 10, 2, seed=0, grid=QuadratureGrid(20))
+        monte_carlo_ise_study(m, [KernelSpec("char", 3)], 10, 2, seed=0, grid=QuadratureGrid(20))
 
 
 @pytest.mark.parametrize(

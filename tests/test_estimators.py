@@ -69,7 +69,6 @@ def test_empirical_characteristic_invariants():
 
 
 def test_characteristic_estimate_three_paths_agree():
-    s = sample_mixture(positive_mixture(), 300, seed=11)
     rng = np.random.default_rng(7)
     pts = np.array(
         [
@@ -79,11 +78,22 @@ def test_characteristic_estimate_three_paths_agree():
             for _ in range(5)
         ]
     )
-    a = characteristic_density_estimate(s, 6, pts)
-    b = synthesize_at(characteristic_spectrum(s, 6), pts)
-    c = kernel_estimate(s, KernelSpec("char", 6), pts)
-    assert np.max(np.abs(a - b)) < 1e-9
-    assert np.max(np.abs(a - c)) == 0.0
+    # a mixture sample, and 50 rotations within 1e-10..1e-7 of the Euler
+    # pole theta = 0, where the polar angle must keep its relative precision
+    near_pole = np.array(
+        [
+            Rotation.from_euler_zyz(
+                (rng.uniform(0, 2 * np.pi), 10.0 ** rng.uniform(-10, -7), rng.uniform(0, 2 * np.pi))
+            ).q
+            for _ in range(50)
+        ]
+    )
+    for s in (sample_mixture(positive_mixture(), 300, seed=11), RotationSample(near_pole)):
+        a = characteristic_density_estimate(s, 6, pts)
+        b = synthesize_at(characteristic_spectrum(s, 6), pts)
+        c = kernel_estimate(s, KernelSpec("char", 6), pts)
+        assert np.max(np.abs(a - b)) < 1e-9
+        assert np.max(np.abs(a - c)) == 0.0
 
 
 def test_wavelet_estimate_closed_form_is_heat():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from so3density import spectra as S
-from so3density.harmonics import L_MAX, character_from_cos_half, wigner_D_of_rotation
+from so3density.config import ExperimentConfig
+from so3density.harmonics import L_MAX, characters_all, wigner_D
 from so3density.rotations import Rotation
 
 rng = np.random.default_rng(911)
@@ -26,9 +27,7 @@ def small_mixture():
 def test_zonal_synthesize_matches_character_sum():
     coeffs = rng.normal(size=7)
     t = rng.uniform(-1.0, 1.0, size=40)
-    ref = np.zeros_like(t)
-    for ell, a in enumerate(coeffs):
-        ref += (2 * ell + 1) * a * character_from_cos_half(ell, t)
+    ref = ((2.0 * np.arange(7) + 1.0) * coeffs) @ characters_all(6, t)
     assert np.abs(S.zonal_synthesize(coeffs, t) - ref).max() < 1e-12
 
 
@@ -74,19 +73,6 @@ def test_full_spectrum_basics():
         S.FullSpectrum([np.zeros((2, 2))])
 
 
-def test_full_spectrum_csv_round_trip(tmp_path):
-    blocks = [rng.normal(size=(2 * l + 1, 2 * l + 1)) + 1j * rng.normal(size=(2 * l + 1, 2 * l + 1)) for l in range(4)]
-    f = S.FullSpectrum(blocks)
-    path = tmp_path / "spec.csv"
-    f.to_csv(path)
-    g = S.FullSpectrum.from_csv(path)
-    assert g.lmax == f.lmax
-    for ell in range(4):
-        assert np.array_equal(f[ell], g[ell])
-    header = path.read_text().splitlines()[0]
-    assert header == "ell,n,m,re,im"
-
-
 def test_mixture_validation():
     with pytest.raises(ValueError):
         S.ZonalMixture(0.5, (S.MixtureComponent(0.2, [1.0], Rotation.identity()),))
@@ -105,7 +91,7 @@ def test_mixture_evaluate_matches_peter_weyl_sum():
         r = Rotation.from_quaternion(qs[k])
         ref = 0.0
         for ell in range(f.lmax + 1):
-            D = wigner_D_of_rotation(ell, r)
+            D = wigner_D(ell, r.to_euler_zyz())
             ref += (2 * ell + 1) * np.sum(f[ell] * D)
         assert abs(ref.imag) < 1e-10
         assert abs(vals[k] - ref.real) < 1e-10
@@ -129,3 +115,19 @@ def test_mixture_mass_is_one():
     mix = small_mixture()
     f = mix.full_spectrum()
     assert f[0][0, 0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_full_spectrum_matches_per_degree_wigner_D():
+    # the study mixture at band 49: one Wigner-D sum over the centres against
+    # sum_i w_i a_i^ell conj(D^ell(c_i)) built degree by degree
+    mix = ExperimentConfig.default().build_mixture()
+    L = 49
+    f = mix.full_spectrum(L)
+    for ell in range(L + 1):
+        ref = np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex)
+        for c in mix.components:
+            if ell < c.coefficients.shape[0]:
+                ref += c.weight * c.coefficients[ell] * np.conj(wigner_D(ell, c.center.to_euler_zyz()))
+        if ell == 0:
+            ref += mix.uniform_weight
+        assert np.abs(f[ell] - ref).max() <= 1e-13

@@ -3,7 +3,8 @@ import pytest
 
 from so3density import kernels as K
 from so3density import transform as T
-from so3density.harmonics import character, wigner_D_of_rotation
+from so3density.config import ExperimentConfig
+from so3density.harmonics import character, wigner_D
 from so3density.rotations import Rotation
 from so3density.spectra import FullSpectrum, MixtureComponent, ZonalMixture
 
@@ -117,9 +118,19 @@ def test_synthesize_at_scattered_points():
     assert np.abs(vals - mix.evaluate(pts)).max() < 1e-10
     r = Rotation.from_quaternion(pts[0])
     direct = sum(
-        (2 * l + 1) * np.sum(f[l] * wigner_D_of_rotation(l, r)) for l in range(f.lmax + 1)
+        (2 * l + 1) * np.sum(f[l] * wigner_D(l, r.to_euler_zyz())) for l in range(f.lmax + 1)
     )
     assert abs(vals[0] - direct.real) < 1e-10
+
+
+def test_synthesize_at_across_chunks():
+    # at band 45 a chunk holds 154 rotations, so 400 points span three chunks;
+    # the input's leading shape is kept
+    mix = ExperimentConfig.default().build_mixture()
+    pts = np.array([Rotation.from_quaternion(rng.normal(size=4)).q for _ in range(400)])
+    vals = T.synthesize_at(mix.full_spectrum(), pts.reshape(20, 20, 4))
+    assert vals.shape == (20, 20)
+    assert np.abs(vals.reshape(-1) - mix.evaluate(pts)).max() < 1e-10
 
 
 def test_scale_grid_and_weights():
