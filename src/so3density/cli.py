@@ -42,7 +42,7 @@ from .kernels import (
     vp_coefficients,
     wavelet_coefficients,
 )
-from .rotations import Rotation, quat_cos_half_between
+from .rotations import Rotation, quat_conjugate, quat_multiply
 from .sampling import RotationSample, sample_mixture, sample_uniform
 from .spectra import ZonalMixture, zonal_convolve
 from .transform import QuadratureGrid, forward, synthesize, synthesize_at
@@ -312,7 +312,10 @@ def run_selfcheck(seed=0, bandlimit=49):
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
 
     def dist(u, v):
-        return 2.0 * np.arccos(np.clip(quat_cos_half_between(u, v), 0.0, 1.0))
+        # the angle of u^{-1} v by atan2 of its halves: exact to rounding near
+        # 0, where arccos(|<u, v>|) resolves only ~sqrt(eps)
+        r = quat_multiply(quat_conjugate(u), v)
+        return 2.0 * np.arctan2(np.linalg.norm(r[..., 1:], axis=-1), np.abs(r[..., 0]))
 
     dab, dbc, dac = dist(a, b), dist(b, c), dist(a, c)
     metric_dev = max(
@@ -321,8 +324,7 @@ def run_selfcheck(seed=0, bandlimit=49):
         float(np.max(-dab)),
         float(np.max(np.abs(dist(a, a)))),
     )
-    # arccos resolves angles near 0 only to ~sqrt(eps); exactness is not on offer
-    check("distance metric axioms (1e4 triples)", metric_dev, 1e-7)
+    check("distance metric axioms (1e4 triples)", metric_dev, 1e-12)
 
     sample = sample_mixture(m, 100, seed=seed + 2)
     pts = sample_uniform(8, seed=seed + 3).quaternions

@@ -122,8 +122,10 @@ def characteristic_spectrum(sample, L):
     """Empirical characteristic function PhiHat^ell_nm = K^{-1} sum conj(D_nm(X_k)).
 
     Degree-0 block is exactly 1; every entry is bounded by 1 in magnitude.
-    One weighted Wigner-D sum over the sample (`harmonics._conj_wigner_sum`),
-    whose chunks keep the work arrays near 160 MB however large K grows.
+    One weighted Wigner-D sum over the sample (`harmonics._conj_wigner_sum`):
+    a separable tensor over (n, j, m) summed by one GEMM per chunk of the
+    sample, then one contraction against d^ell(pi/2) per degree.  Work arrays
+    stay near 50 MB at L = 49 however large K grows.
     """
     if not 0 <= L <= L_MAX:
         raise ValueError(f"degree must lie in [0, {L_MAX}]")

@@ -11,15 +11,34 @@ Group characters chi^ell and Wigner-D matrices.  Conventions:
   where omega is the rotation angle of x; every character value comes from
   the one recurrence of `characters_all` in cos(omega/2) = |q_w|.
 
-The polar matrices are built by a half-angle degree recurrence (two half-steps
-per degree, each coupling neighbouring entries with sqrt factors).  It is
-numerically stable far beyond the degrees where factorial formulas overflow
-and is vectorized over a batch of angles.  Every Wigner-D sum over rotations
-(the empirical characteristic function, a mixture's spectrum, pointwise
-synthesis) takes its tables from the one chunked routine `_wigner_chunks`.
+Every Wigner computation goes through Delta^ell = d^ell(pi/2) and the
+factorization (Risbo 1996, J. Geodesy 70; Kostelec & Rockmore 2008, "FFTs on
+the rotation group")
+
+    d^ell_nm(theta) = i^(n-m) sum_j Delta_jn Delta_jm e^{-i j theta}.
+
+Delta^ell is built once per degree by a half-angle degree recurrence (two
+half-steps per degree, each coupling neighbouring entries with sqrt factors;
+stable far beyond the degrees where factorial formulas overflow) run at that
+one angle, and cached.  The symmetry of Delta folds the sum onto j = 0..ell
+with cos(j theta) or sin(j theta) by the parity of n - m (`_delta_blocks`).
+On top of that:
+
+* polar tables (`wigner_d_stack`, a grid's `d_stack`): one real GEMM per
+  parity block, cos/sin(j theta) against the Delta products;
+* Wigner-D sums over rotations (`_conj_wigner_sum`): for the empirical
+  characteristic function, the separable tensor
+  sum_k w_k e^{i n phi_k} cos/sin(j theta_k) e^{i m psi_k}, one GEMM per
+  chunk of rotations, contracted against the Delta products per degree; for
+  a mixture's few centres, whose weights vary by degree, the polar tables;
+* pointwise synthesis (`_synthesize_points`): the adjoint, a spectrum
+  folded once into a tensor over (j, n, m), then one GEMM per chunk of
+  points.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,6 +46,9 @@ from .rotations import Rotation, quat_to_euler_zyz
 
 #: hard cap on the harmonic degree; keeps full-spectrum memory in the tens of MB
 L_MAX = 128
+
+#: entries of exp(i (n phi + m psi)) per chunk of rotations (16 MB)
+_CHUNK = 1 << 20
 
 __all__ = [
     "L_MAX",
@@ -91,20 +113,84 @@ def characters_all(L, cos_half):
     return out
 
 
-def _half_step(d, cos_half, sin_half):
-    # one half-angle step of the degree recurrence; grows the table from
-    # dimension n to n + 1 (degree j to j + 1/2), batched over angles
-    nbatch, n, _ = d.shape
-    out = np.zeros((nbatch, n + 1, n + 1))
+def _half_step(d, c, s):
+    # one half-angle step of the degree recurrence at the angle whose half has
+    # cosine c and sine s; grows the table from dimension n to n + 1 (degree
+    # j to j + 1/2)
+    n = d.shape[0]
+    out = np.zeros((n + 1, n + 1))
     dlj = d / n
     sd = np.sqrt(np.arange(n, 0, -1))  # sqrt(j - k)
     su = np.sqrt(np.arange(1, n + 1))  # sqrt(k + 1)
-    c = cos_half[:, None, None]
-    s = sin_half[:, None, None]
-    out[:, :n, :n] += (sd[:, None] * sd[None, :]) * dlj * c
-    out[:, :n, 1:] += (sd[:, None] * su[None, :]) * dlj * s
-    out[:, 1:, :n] -= (su[:, None] * sd[None, :]) * dlj * s
-    out[:, 1:, 1:] += (su[:, None] * su[None, :]) * dlj * c
+    out[:n, :n] += (sd[:, None] * sd[None, :]) * dlj * c
+    out[:n, 1:] += (sd[:, None] * su[None, :]) * dlj * s
+    out[1:, :n] -= (su[:, None] * sd[None, :]) * dlj * s
+    out[1:, 1:] += (su[:, None] * su[None, :]) * dlj * c
+    return out
+
+
+@functools.cache
+def _delta(ell):
+    """Delta^ell = d^ell(pi/2), shape (2 ell+1, 2 ell+1), read-only and cached.
+
+    Two half-steps of the degree recurrence from Delta^(ell-1), at this one
+    angle only.
+    """
+    if ell == 0:
+        d = np.ones((1, 1))
+    else:
+        # the rounded cos(pi/4) and sin(pi/4) differ by one ulp and their
+        # squares sum to 1; sqrt(0.5) twice would not, and the norm drift of
+        # 2 ell such steps reaches 3e-14 at L_MAX
+        c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+        d = _half_step(_half_step(_delta(ell - 1), c, s), c, s)
+    d.flags.writeable = False
+    return d
+
+
+def _delta_blocks(ell):
+    """The degree-ell Delta products, one parity block of (n, m) at a time.
+
+    d^ell_nm(theta) = i^(n-m) sum_{j=-ell..ell} Delta_jn Delta_jm e^{-i j theta},
+    and Delta_{-j,n} = (-1)^(ell+n) Delta_jn folds the terms j and -j: for
+    n - m even they sum to a cosine, for n - m odd to a sine, so
+
+        d^ell_nm(theta) = sum_{j=0..ell} P[j, n, m] trig_p(j theta),
+        P[j, n, m] = (-1)^floor((n-m)/2) c_j Delta_jn Delta_jm,
+
+    with c_0 = 1, c_j = 2 otherwise, and p = (n - m) mod 2 choosing cos (0) or
+    sin (1).  Yields (rows, cols, p, P) for the four blocks of (n, m) by the
+    parities of n and m, on each of which p is constant.
+    """
+    delta = _delta(ell)[ell:]  # rows j = 0..ell
+    cdelta = delta.copy()
+    cdelta[1:] *= 2.0
+    # on block (a, b), n - m = 2 (u - v) + a - b for the u-th row and v-th
+    # column, so the sign is (-1)^u (-1)^v, negated on block (0, 1)
+    alt = (-1.0) ** np.arange(ell + 1)
+    for a in (0, 1):
+        for b in (0, 1):
+            rows, cols = slice(a, None, 2), slice(b, None, 2)
+            left = cdelta[:, rows] * (alt[: ell + 1 - a] * (-1.0 if (a, b) == (0, 1) else 1.0))
+            right = delta[:, cols] * alt[: ell + 1 - b]
+            yield rows, cols, (a + b) % 2, left[:, :, None] * right[:, None, :]
+
+
+def _trig(L, theta):
+    """cos(j theta) and sin(j theta) for j = 0..L, shape (N, 2, L+1)."""
+    jt = np.multiply.outer(theta, np.arange(L + 1))
+    return np.stack([np.cos(jt), np.sin(jt)], axis=1)
+
+
+def _polar(ell, trig):
+    """d^ell at the angles of `trig` (from `_trig`), shape (N, 2 ell+1, 2 ell+1):
+    one real GEMM of trig_p(j theta) against P per parity block."""
+    nth = trig.shape[0]
+    out = np.empty((nth, 2 * ell + 1, 2 * ell + 1))
+    for rows, cols, p, prod in _delta_blocks(ell):
+        out[:, rows, cols] = (trig[:, p, : ell + 1] @ prod.reshape(ell + 1, -1)).reshape(
+            (nth,) + prod.shape[1:]
+        )
     return out
 
 
@@ -122,25 +208,18 @@ def wigner_d_stack(L, thetas):
     -------
     list of ndarray
         Entry ell has shape (N, 2*ell+1, 2*ell+1), indexed d[k, n+ell, m+ell].
-        Work memory scales like N * (2L+1)^2; chunk large batches of angles.
+        Each degree is computed from the cached Delta^ell by real GEMMs over
+        j = 0..ell; the result holds N * sum (2 ell+1)^2 entries.
     """
     L = _check_degree(L)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    c = np.cos(thetas / 2.0)
-    s = np.sin(thetas / 2.0)
-    tables = [np.ones((thetas.shape[0], 1, 1))]
-    d = tables[0]
-    for half in range(1, 2 * L + 1):
-        d = _half_step(d, c, s)
-        if half % 2 == 0:
-            tables.append(d)
-    return tables
+    trig = _trig(L, np.atleast_1d(np.asarray(thetas, dtype=float)))
+    return [_polar(ell, trig) for ell in range(L + 1)]
 
 
 def wigner_d(ell, theta):
     """Single polar matrix d^ell(theta), shape (2*ell+1, 2*ell+1)."""
     ell = _check_degree(ell)
-    return wigner_d_stack(ell, [float(theta)])[ell][0]
+    return _polar(ell, _trig(ell, np.array([float(theta)])))[0]
 
 
 def wigner_D(ell, euler):
@@ -163,43 +242,93 @@ def addition_evaluate(ell, x, y):
     return complex(np.sum(np.conj(dx) * dy))
 
 
-def _wigner_chunks(L, q):
-    """Wigner-D factors of the rotations q, shape (K, 4), chunk by chunk.
+def _phase_chunks(L, q):
+    """Separable factors of the rotations q, shape (K, 4), chunk by chunk.
 
-    Yields (rows, e_n, d, e_m) for consecutive slices `rows` of q, with
-
-        D^ell_nm(q_k) = e_n[k, n] d[ell][k, n, m] e_m[k, m],
-
-    e_n = exp(-i n phi) and e_m = exp(-i m psi) over n = -L..L (degree ell
-    takes columns L-ell..L+ell) and d = wigner_d_stack(L, theta).  A chunk
-    holds about 2e7 table entries (160 MB) however large K grows.
+    Yields (rows, e, trig) for consecutive slices `rows` of q, with
+    e[k, n, m] = exp(i (n phi_k + m psi_k)) over n, m = -L..L and
+    trig = `_trig(L, theta)`, shape (k, 2, L+1).  A chunk holds about
+    `_CHUNK` entries of e.
     """
-    L = _check_degree(L)
-    per_rotation = sum((2 * ell + 1) ** 2 for ell in range(L + 1))
-    chunk = max(32, min(16384, int(2e7 / per_rotation)))
     n_all = np.arange(-L, L + 1)
+    chunk = max(1, _CHUNK // (2 * L + 1) ** 2)
     for start in range(0, q.shape[0], chunk):
         rows = slice(start, start + chunk)
         phi, theta, psi = quat_to_euler_zyz(q[rows])
-        e_n = np.exp(-1j * phi[:, None] * n_all[None, :])
-        e_m = np.exp(-1j * psi[:, None] * n_all[None, :])
-        yield rows, e_n, wigner_d_stack(L, theta), e_m
+        e_n = np.exp(1j * np.multiply.outer(phi, n_all))
+        e_m = np.exp(1j * np.multiply.outer(psi, n_all))
+        yield rows, e_n[:, :, None] * e_m[:, None, :], _trig(L, theta)
+
+
+def _band(x, ell):
+    # degree-ell part of a (2, L+1, 2L+1, 2L+1) tensor
+    L = x.shape[1] - 1
+    sl = slice(L - ell, L + ell + 1)
+    return x[:, : ell + 1, sl, sl]
+
+
+def _contract(ell, x):
+    """sum_j P[j, n, m] x[p, j, n, m] over the blocks of `_delta_blocks`: a degree-ell block."""
+    block = np.empty((2 * ell + 1, 2 * ell + 1), dtype=complex)
+    for rows, cols, p, prod in _delta_blocks(ell):
+        block[rows, cols] = (prod * x[p][:, rows, cols]).sum(axis=0)
+    return block
 
 
 def _conj_wigner_sum(L, q, weights):
     """Blocks sum_k weights[k, ell] conj(D^ell(q_k)) for ell = 0..L.
 
-    `weights` broadcasts to (K, L+1).  The empirical characteristic function
-    (weights 1/K over a sample) and a zonal mixture's spectrum (weights
-    w_i a_i^ell over its centres) are both this sum.
+    conj(D^ell_nm(q_k)) = e^{i n phi_k} d^ell_nm(theta_k) e^{i m psi_k}, and
+    by `_delta_blocks` d^ell is a sum over j of trig_p(j theta) P[j]; so each
+    block is the contraction against P of the separable tensor
+    X[p, j, n, m] = sum_k weights[k] e^{i (n phi_k + m psi_k)} trig_p(j theta_k).
+    Weights that are one per rotation (shape (K,) or a scalar; the empirical
+    characteristic function) share one X for all degrees, summed over the
+    chunks of `_phase_chunks`.  Weights of shape (K, L+1) (a zonal mixture's
+    w_i a_i^ell over its few centres) are summed degree by degree over the
+    polar tables of `_polar` at the rotations' theta.
     """
-    weights = np.broadcast_to(weights, (q.shape[0], L + 1))
+    L = _check_degree(L)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim < 2:
+        weights = np.broadcast_to(weights, q.shape[:1])
+        x = np.zeros((2 * (L + 1), 2 * (2 * L + 1) ** 2))
+        for rows, e, trig in _phase_chunks(L, q):
+            e *= weights[rows, None, None]
+            # one real GEMM: the complex e read as pairs of reals
+            x += trig.reshape(e.shape[0], -1).T @ e.view(float).reshape(e.shape[0], -1)
+        x = x.view(complex).reshape(2, L + 1, 2 * L + 1, 2 * L + 1)
+        return [_contract(ell, _band(x, ell)) for ell in range(L + 1)]
     blocks = [np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(L + 1)]
-    for rows, e_n, d, e_m in _wigner_chunks(L, q):
-        e_n, e_m, w = np.conj(e_n), np.conj(e_m), weights[rows]
+    for rows, e, trig in _phase_chunks(L, q):
         for ell in range(L + 1):
             sl = slice(L - ell, L + ell + 1)
             blocks[ell] += np.einsum(
-                "kn,knm,km->nm", w[:, ell, None] * e_n[:, sl], d[ell], e_m[:, sl], optimize=True
+                "k,knm,knm->nm", weights[rows, ell], e[:, sl, sl], _polar(ell, trig)
             )
     return blocks
+
+
+def _synthesize_points(spectrum, q):
+    """Re sum_ell (2 ell+1) sum_nm fhat^ell_nm D^ell_nm(q_k) for q of shape (K, 4).
+
+    The adjoint of `_conj_wigner_sum`: the spectrum is folded once into
+    G[p, j, n, m] = sum_ell (2 ell+1) P^ell[j, n, m] fhat^ell_nm (P of
+    `_delta_blocks`), and the value at a rotation is
+    Re sum e^{-i (n phi + m psi)} trig_p(j theta) G[p, j, n, m]: one real GEMM
+    per chunk of points against G.
+    """
+    L = _check_degree(spectrum.lmax)
+    g = np.zeros((2, L + 1, 2 * L + 1, 2 * L + 1), dtype=complex)
+    for ell in range(L + 1):
+        f = (2 * ell + 1) * spectrum[ell]
+        gl = _band(g, ell)
+        for rows, cols, p, prod in _delta_blocks(ell):
+            gl[p][:, rows, cols] += prod * f[rows, cols]
+    # Re(conj(e) g) = Re e Re g + Im e Im g: both read as pairs of reals
+    gv = g.view(float).reshape(2 * (L + 1), -1)
+    out = np.empty(q.shape[0])
+    for rows, e, trig in _phase_chunks(L, q):
+        y = e.view(float).reshape(e.shape[0], -1) @ gv.T
+        out[rows] = np.einsum("kc,kc->k", y, trig.reshape(e.shape[0], -1))
+    return out

@@ -11,14 +11,16 @@ functions exactly, which is what makes grid norms of bandlimited errors equal
 their Parseval values.
 
 Forward transforms run the phi/psi sums through the FFT and contract the
-theta axis against cached Wigner-d tables degree by degree.
+theta axis against the grid's cached Wigner-d tables degree by degree;
+`synthesize_at` evaluates a spectrum at scattered rotations through the
+Delta-factored tensor of `harmonics`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .harmonics import L_MAX, _wigner_chunks, wigner_d_stack
+from .harmonics import L_MAX, _synthesize_points, wigner_d_stack
 from .kernels import alpha, wavelet_coefficients
 from .rotations import quat_from_euler_zyz
 from .spectra import FullSpectrum
@@ -59,6 +61,11 @@ class QuadratureGrid:
 
     @property
     def d_stack(self):
+        """Polar tables d^ell(theta_k) at the Gauss-Legendre nodes, ell = 0..L.
+
+        Built on first use by `wigner_d_stack` (one GEMM per degree and parity
+        block against the cached d^ell(pi/2)) and kept with the grid.
+        """
         if self._d_stack is None:
             self._d_stack = wigner_d_stack(self.L, self.thetas)
         return self._d_stack
@@ -135,23 +142,14 @@ def synthesize(grid, spectrum):
 def synthesize_at(spectrum, q):
     """Values of sum_ell (2 ell+1) sum_nm fhat_nm D^ell_nm at quaternions (..., 4).
 
-    The points run through the chunks of `harmonics._wigner_chunks`, each
-    contracted per point and degree; as in `synthesize`, the spectrum should
-    describe a real function and the real part is returned.
+    The spectrum is folded once into the Delta-factored tensor G of
+    `harmonics._synthesize_points`; each chunk of points is then one real GEMM
+    of its phases exp(i (n phi + m psi)) against G, summed against
+    cos/sin(j theta).  As in `synthesize`, the spectrum should describe a
+    real function and the real part is returned.
     """
     q = np.asarray(q, dtype=float)
-    flat = q.reshape(-1, 4)
-    out = np.zeros(flat.shape[0])
-    L = spectrum.lmax
-    for rows, e_n, d, e_m in _wigner_chunks(L, flat):
-        acc = np.zeros(e_n.shape[0], dtype=complex)
-        for ell in range(L + 1):
-            sl = slice(L - ell, L + ell + 1)
-            acc += (2 * ell + 1) * np.einsum(
-                "knm,kn,km,nm->k", d[ell], e_n[:, sl], e_m[:, sl], spectrum[ell], optimize=True
-            )
-        out[rows] = acc.real
-    return out.reshape(q.shape[:-1])
+    return _synthesize_points(spectrum, q.reshape(-1, 4)).reshape(q.shape[:-1])
 
 
 def scale_grid(t_min, per_octave=32, tol=1e-12):

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from so3density import harmonics as H
+from so3density.config import ExperimentConfig
+from so3density.estimators import characteristic_spectrum
 from so3density.rotations import Rotation
+from so3density.sampling import RotationSample, sample_mixture, sample_uniform
+from so3density.transform import QuadratureGrid, synthesize, synthesize_at
 
 rng = np.random.default_rng(5150)
 
@@ -107,6 +113,93 @@ def test_wigner_d_stack_consistent_with_single():
             assert np.abs(stack[ell][k] - H.wigner_d(ell, th)).max() < 1e-13
 
 
+def test_wigner_d_stack_matches_matrix_exponential_for_all_degrees():
+    thetas = np.array([0.0, 1e-9, 0.7, np.pi / 2, 2.3, np.pi - 1e-6, np.pi])
+    stack = H.wigner_d_stack(12, thetas)
+    for ell in range(13):
+        jy = angular_momentum_y(ell)
+        for k, theta in enumerate(thetas):
+            assert np.abs(stack[ell][k] - expm(-1j * theta * jy).real).max() < 1e-13
+
+
+# the Euler poles, the Delta angle itself, and just short of the south pole
+EDGE_THETAS = (0.0, 1e-9, np.pi / 2, np.pi - 1e-6, np.pi)
+
+
+@pytest.mark.parametrize("ell", [64, H.L_MAX - 1, H.L_MAX])
+def test_wigner_d_orthogonal_and_additive_at_high_degree(ell):
+    eye = np.eye(2 * ell + 1)
+    for theta in EDGE_THETAS:
+        d = H.wigner_d(ell, theta)
+        assert np.abs(d @ d.T - eye).max() < 1e-13
+        # d(a) d(b) = d(a + b): both halves, and the step from pi/2
+        half = H.wigner_d(ell, theta / 2)
+        assert np.abs(half @ half - d).max() < 1e-13
+        if theta <= np.pi / 2:
+            assert np.abs(H.wigner_d(ell, np.pi / 2) @ d - H.wigner_d(ell, theta + np.pi / 2)).max() < 1e-13
+
+
+def test_wigner_d_at_poles_is_exact_to_rounding():
+    # d(0) = I and d(pi)_nm = (-1)^(ell - n) delta_{n,-m}, for every degree
+    for ell in (1, 17, 64, H.L_MAX):
+        n = np.arange(-ell, ell + 1)
+        flip = np.zeros((2 * ell + 1, 2 * ell + 1))
+        flip[np.arange(2 * ell + 1), 2 * ell - np.arange(2 * ell + 1)] = (-1.0) ** (ell - n)
+        assert np.abs(H.wigner_d(ell, 0.0) - np.eye(2 * ell + 1)).max() < 1e-13
+        # np.pi is 1.2e-16 short of pi, which moves d(pi) by up to ~ell ulps
+        assert np.abs(H.wigner_d(ell, np.pi) - flip).max() < 1e-13
+
+
+def test_characteristic_spectrum_matches_per_sample_wigner_D():
+    # band 49: the tensor route against sum_k conj(D^ell(X_k)) / K, built
+    # degree by degree from Euler angles; the sample includes both Euler
+    # poles and a rotation 1e-9 from the north pole
+    L = 49
+    poles = [
+        Rotation.from_euler_zyz((0.3, 0.0, 0.0)).q,
+        Rotation.from_euler_zyz((1.1, np.pi, 0.0)).q,
+        Rotation.from_euler_zyz((2.0, 1e-9, 0.7)).q,
+    ]
+    q = np.concatenate([sample_uniform(5, seed=41).quaternions, poles])
+    phi = characteristic_spectrum(RotationSample(q), L)
+    eulers = [Rotation.from_quaternion(x).to_euler_zyz() for x in q]
+    for ell in range(L + 1):
+        ref = sum(np.conj(H.wigner_D(ell, e)) for e in eulers) / len(eulers)
+        assert np.abs(phi[ell] - ref).max() <= 1e-13
+
+
+def test_synthesize_at_grid_nodes_matches_synthesize():
+    # a strided subset of the nodes of an L = 49 grid, several chunks of points
+    mix = ExperimentConfig.default().build_mixture()
+    grid = QuadratureGrid(49)
+    f = mix.full_spectrum(49)
+    sub = (slice(None, None, 7), slice(None, None, 9), slice(None, None, 11))
+    ref = synthesize(grid, f)[sub]
+    got = synthesize_at(f, grid.points[sub])
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_wigner_sums_memory_is_bounded():
+    # K = 20 000 at band 49: per-rotation polar tables alone would be
+    # 20 000 * 166 650 entries (27 GB); the tensor routes stay under 64 MB
+    mix = ExperimentConfig.default().build_mixture()
+    s = sample_mixture(mix, 20_000, seed=43)
+    f = mix.full_spectrum(49)
+    tracemalloc.start()
+    try:
+        phi = characteristic_spectrum(s, 49)
+        peak_analysis = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        values = synthesize_at(f, s.quaternions)
+        peak_synthesis = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(phi[49]).all() and np.isfinite(values).all()
+    assert peak_analysis < 64 * 2**20
+    assert peak_synthesis < 64 * 2**20
+
+
 def test_addition_sum_equals_character_of_relative_rotation():
     for ell in (1, 4, 10):
         x = Rotation.from_quaternion(rng.normal(size=4))
@@ -119,5 +212,7 @@ def test_addition_sum_equals_character_of_relative_rotation():
 def test_degree_guard():
     with pytest.raises(ValueError):
         H.wigner_d(H.L_MAX + 1, 0.5)
+    with pytest.raises(ValueError):
+        ExperimentConfig.default().build_mixture().full_spectrum(H.L_MAX + 1)
     with pytest.raises(ValueError):
         H.character(-1, Rotation.identity())

@@ -124,7 +124,7 @@ def test_synthesize_at_scattered_points():
 
 
 def test_synthesize_at_across_chunks():
-    # at band 45 a chunk holds 154 rotations, so 400 points span three chunks;
+    # at band 45 a chunk holds 126 rotations, so 400 points span four chunks;
     # the input's leading shape is kept
     mix = ExperimentConfig.default().build_mixture()
     pts = np.array([Rotation.from_quaternion(rng.normal(size=4)).q for _ in range(400)])
