@@ -42,7 +42,7 @@ from .kernels import (
     vp_coefficients,
     wavelet_coefficients,
 )
-from .rotations import Rotation, quat_conjugate, quat_multiply
+from .rotations import Rotation, quat_angle, quat_conjugate, quat_multiply
 from .sampling import RotationSample, sample_mixture, sample_uniform
 from .spectra import ZonalMixture, zonal_convolve
 from .transform import QuadratureGrid, forward, synthesize, synthesize_at
@@ -208,17 +208,14 @@ def _cmd_estimate(cfg, out_dir, sample_path):
     field = spec.estimate_on_grid(sample, grid)
     mass = grid.integrate(field)
     path = os.path.join(out_dir, "estimate.csv")
-    # the rows csv.writer would emit (no field needs quoting), one theta
-    # slice per write: node strings are formatted once per axis
-    phis = [f"{phi:.17g}," for phi in grid.phis]
-    psis = [f",{psi:.17g}," for psi in grid.psis]
-    value = "{:.17g}\r\n".format
+    # the rows csv.writer would emit (no field needs quoting), one theta slice
+    # per write by one %: the node strings of a slice are one template, with
+    # theta in place of its NUL placeholders
+    rows = "".join(f"{phi:.17g},\0,{psi:.17g},%.17g\r\n" for phi in grid.phis for psi in grid.psis)
     with open(path, "w", newline="") as fh:
         fh.write("phi,theta,psi,value\r\n")
         for theta, plane in zip(grid.thetas, field):
-            theta = f"{theta:.17g}"
-            heads = [phi + theta + psi for phi in phis for psi in psis]
-            fh.write("".join(map(str.__add__, heads, map(value, plane.ravel().tolist()))))
+            fh.write(rows.replace("\0", f"{theta:.17g}") % tuple(plane.ravel().tolist()))
     print(f"wrote {path} ({field.size} nodes), estimator {spec.to_text()}, mass {mass:.12f}")
     return 0
 
@@ -312,10 +309,7 @@ def run_selfcheck(seed=0, bandlimit=49):
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
 
     def dist(u, v):
-        # the angle of u^{-1} v by atan2 of its halves: exact to rounding near
-        # 0, where arccos(|<u, v>|) resolves only ~sqrt(eps)
-        r = quat_multiply(quat_conjugate(u), v)
-        return 2.0 * np.arctan2(np.linalg.norm(r[..., 1:], axis=-1), np.abs(r[..., 0]))
+        return quat_angle(quat_multiply(quat_conjugate(u), v))
 
     dab, dbc, dac = dist(a, b), dist(b, c), dist(a, c)
     metric_dev = max(

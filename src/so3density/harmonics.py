@@ -24,8 +24,8 @@ one angle, and cached.  The symmetry of Delta folds the sum onto j = 0..ell
 with cos(j theta) or sin(j theta) by the parity of n - m (`_delta_blocks`).
 On top of that:
 
-* polar tables (`wigner_d_stack`, a grid's `d_stack`): one real GEMM per
-  parity block, cos/sin(j theta) against the Delta products;
+* polar tables (`wigner_d_stack`, a grid's `d_stack` for checks): one real
+  GEMM per parity block, cos/sin(j theta) against the Delta products;
 * Wigner-D sums over rotations (`_conj_wigner_sum`): for the empirical
   characteristic function, the separable tensor
   sum_k w_k e^{i n phi_k} cos/sin(j theta_k) e^{i m psi_k}, one GEMM per
@@ -33,7 +33,9 @@ On top of that:
   a mixture's few centres, whose weights vary by degree, the polar tables;
 * pointwise synthesis (`_synthesize_points`): the adjoint, a spectrum
   folded once into a tensor over (j, n, m), then one GEMM per chunk of
-  points.
+  points;
+* grid transforms (`transform.forward`, `transform.synthesize`): the same
+  pair, with the FFT for phi and psi and one GEMM over the theta nodes.
 """
 
 from __future__ import annotations
@@ -267,12 +269,32 @@ def _band(x, ell):
     return x[:, : ell + 1, sl, sl]
 
 
-def _contract(ell, x):
-    """sum_j P[j, n, m] x[p, j, n, m] over the blocks of `_delta_blocks`: a degree-ell block."""
-    block = np.empty((2 * ell + 1, 2 * ell + 1), dtype=complex)
-    for rows, cols, p, prod in _delta_blocks(ell):
-        block[rows, cols] = (prod * x[p][:, rows, cols]).sum(axis=0)
-    return block
+def _unfold(x):
+    """Blocks sum_j P^ell[j, n, m] x[p, j, n, m], ell = 0..L, of x of shape (2, L+1, 2L+1, 2L+1).
+
+    P and p as in `_delta_blocks`; the adjoint of `_fold`.
+    """
+    blocks = [np.empty((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(x.shape[1])]
+    for ell, block in enumerate(blocks):
+        xl = _band(x, ell)
+        for rows, cols, p, prod in _delta_blocks(ell):
+            block[rows, cols] = (prod * xl[p][:, rows, cols]).sum(axis=0)
+    return blocks
+
+
+def _fold(spectrum):
+    """G[p, j, n, m] = sum_ell (2 ell+1) P^ell[j, n, m] fhat^ell_nm with L = spectrum.lmax.
+
+    sum_{p,j} trig_p(j theta) G[p, j, n, m] is sum_ell (2 ell+1) d^ell_nm(theta) fhat^ell_nm.
+    """
+    L = _check_degree(spectrum.lmax)
+    g = np.zeros((2, L + 1, 2 * L + 1, 2 * L + 1), dtype=complex)
+    for ell in range(L + 1):
+        f = (2 * ell + 1) * spectrum[ell]
+        gl = _band(g, ell)
+        for rows, cols, p, prod in _delta_blocks(ell):
+            gl[p][:, rows, cols] += prod * f[rows, cols]
+    return g
 
 
 def _conj_wigner_sum(L, q, weights):
@@ -297,8 +319,7 @@ def _conj_wigner_sum(L, q, weights):
             e *= weights[rows, None, None]
             # one real GEMM: the complex e read as pairs of reals
             x += trig.reshape(e.shape[0], -1).T @ e.view(float).reshape(e.shape[0], -1)
-        x = x.view(complex).reshape(2, L + 1, 2 * L + 1, 2 * L + 1)
-        return [_contract(ell, _band(x, ell)) for ell in range(L + 1)]
+        return _unfold(x.view(complex).reshape(2, L + 1, 2 * L + 1, 2 * L + 1))
     blocks = [np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(L + 1)]
     for rows, e, trig in _phase_chunks(L, q):
         for ell in range(L + 1):
@@ -312,21 +333,14 @@ def _conj_wigner_sum(L, q, weights):
 def _synthesize_points(spectrum, q):
     """Re sum_ell (2 ell+1) sum_nm fhat^ell_nm D^ell_nm(q_k) for q of shape (K, 4).
 
-    The adjoint of `_conj_wigner_sum`: the spectrum is folded once into
-    G[p, j, n, m] = sum_ell (2 ell+1) P^ell[j, n, m] fhat^ell_nm (P of
-    `_delta_blocks`), and the value at a rotation is
+    The adjoint of `_conj_wigner_sum`: the spectrum is folded once into G
+    (`_fold`), and the value at a rotation is
     Re sum e^{-i (n phi + m psi)} trig_p(j theta) G[p, j, n, m]: one real GEMM
     per chunk of points against G.
     """
-    L = _check_degree(spectrum.lmax)
-    g = np.zeros((2, L + 1, 2 * L + 1, 2 * L + 1), dtype=complex)
-    for ell in range(L + 1):
-        f = (2 * ell + 1) * spectrum[ell]
-        gl = _band(g, ell)
-        for rows, cols, p, prod in _delta_blocks(ell):
-            gl[p][:, rows, cols] += prod * f[rows, cols]
+    L = spectrum.lmax
     # Re(conj(e) g) = Re e Re g + Im e Im g: both read as pairs of reals
-    gv = g.view(float).reshape(2 * (L + 1), -1)
+    gv = _fold(spectrum).view(float).reshape(2 * (L + 1), -1)
     out = np.empty(q.shape[0])
     for rows, e, trig in _phase_chunks(L, q):
         y = e.view(float).reshape(e.shape[0], -1) @ gv.T

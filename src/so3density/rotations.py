@@ -77,9 +77,9 @@ def quat_conjugate(q):
 
 
 def quat_angle(q):
-    """Rotation angle in [0, pi]: 2*arccos(|w|), well conditioned at 0 and pi."""
+    """Rotation angle in [0, pi]: 2*atan2(|v|, |w|), accurate to rounding at 0 and pi."""
     q = np.asarray(q, dtype=float)
-    return 2.0 * np.arccos(np.clip(np.abs(q[..., 0]), -1.0, 1.0))
+    return 2.0 * np.arctan2(np.linalg.norm(q[..., 1:], axis=-1), np.abs(q[..., 0]))
 
 
 def quat_cos_half_between(p, q):

@@ -10,17 +10,17 @@ Gauss-Legendre rule; the rule therefore integrates products of two bandlimit-L
 functions exactly, which is what makes grid norms of bandlimited errors equal
 their Parseval values.
 
-Forward transforms run the phi/psi sums through the FFT and contract the
-theta axis against the grid's cached Wigner-d tables degree by degree;
-`synthesize_at` evaluates a spectrum at scattered rotations through the
-Delta-factored tensor of `harmonics`.
+`forward` and `synthesize` run the phi/psi sums through the FFT and the theta
+sum as one GEMM of cos/sin(j theta) at the Gauss-Legendre nodes against the
+Delta-factored tensor of `harmonics` (`_unfold`, `_fold`); `synthesize_at`
+evaluates a spectrum at scattered rotations through the same tensor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .harmonics import L_MAX, _synthesize_points, wigner_d_stack
+from .harmonics import L_MAX, _fold, _synthesize_points, _trig, _unfold, wigner_d_stack
 from .kernels import alpha, wavelet_coefficients
 from .rotations import quat_from_euler_zyz
 from .spectra import FullSpectrum
@@ -38,7 +38,7 @@ __all__ = [
 
 
 class QuadratureGrid:
-    """Euler-angle product grid storing nodes, weights and Wigner-d tables."""
+    """Euler-angle product grid: nodes, weights and, on demand, Wigner-d tables."""
 
     def __init__(self, L):
         L = int(L)
@@ -63,8 +63,8 @@ class QuadratureGrid:
     def d_stack(self):
         """Polar tables d^ell(theta_k) at the Gauss-Legendre nodes, ell = 0..L.
 
-        Built on first use by `wigner_d_stack` (one GEMM per degree and parity
-        block against the cached d^ell(pi/2)) and kept with the grid.
+        Built on first use by `wigner_d_stack` and kept with the grid.  Only
+        checks read it; the transforms never build it.
         """
         if self._d_stack is None:
             self._d_stack = wigner_d_stack(self.L, self.thetas)
@@ -107,26 +107,27 @@ def forward(grid, values):
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValueError(f"expected grid values of shape {grid.shape}, got {values.shape}")
-    # (1/N) sum_k f(phi_k) e^{+i n phi_k} for both angle axes = ifft
-    g = np.fft.ifft(np.fft.ifft(values, axis=1), axis=2)
-    blocks = []
-    for ell in range(grid.L + 1):
-        idx = np.arange(-ell, ell + 1) % grid.n_phi
-        gl = g[:, idx[:, None], idx[None, :]]
-        blocks.append(np.einsum("j,jnm,jnm->nm", grid.theta_weights, grid.d_stack[ell], gl))
-    return FullSpectrum(blocks)
+    L = grid.L
+    idx = np.arange(-L, L + 1) % grid.n_phi
+    # (1/N) sum_k f(phi_k) e^{+i n phi_k} for both angle axes = ifft, at |n|, |m| <= L
+    g = np.fft.ifft(np.fft.ifft(values, axis=1), axis=2).take(idx, axis=1).take(idx, axis=2)
+    # X[p, j, n, m] = sum_k w_k trig_p(j theta_k) g[k, n, m], g read as pairs of reals
+    wtrig = (grid.theta_weights[:, None, None] * _trig(L, grid.thetas)).reshape(L + 1, -1)
+    x = wtrig.T @ g.view(float).reshape(L + 1, -1)
+    return FullSpectrum(_unfold(x.view(complex).reshape(2, L + 1, 2 * L + 1, 2 * L + 1)))
 
 
 def _synthesize_complex(grid, spectrum):
-    if spectrum.lmax > grid.L:
+    L = spectrum.lmax
+    if L > grid.L:
         raise ValueError("spectrum degree exceeds the grid bandlimit")
-    h = np.zeros(grid.shape, dtype=complex)
-    for ell in range(spectrum.lmax + 1):
-        idx = np.arange(-ell, ell + 1) % grid.n_phi
-        h[:, idx[:, None], idx[None, :]] += (2 * ell + 1) * (
-            grid.d_stack[ell] * spectrum[ell][None, :, :]
-        )
-    return np.fft.fft(np.fft.fft(h, axis=1), axis=2)
+    g = _fold(spectrum).view(float).reshape(2 * (L + 1), -1)
+    # h[k, n, m] = sum_ell (2 ell+1) d^ell_nm(theta_k) fhat^ell_nm, G read as pairs of reals
+    h = (_trig(L, grid.thetas).reshape(grid.L + 1, -1) @ g).view(complex)
+    idx = np.arange(-L, L + 1) % grid.n_phi
+    full = np.zeros(grid.shape, dtype=complex)
+    full[:, idx[:, None], idx[None, :]] = h.reshape(grid.L + 1, 2 * L + 1, 2 * L + 1)
+    return np.fft.fft(np.fft.fft(full, axis=1), axis=2)
 
 
 def synthesize(grid, spectrum):
@@ -142,11 +143,9 @@ def synthesize(grid, spectrum):
 def synthesize_at(spectrum, q):
     """Values of sum_ell (2 ell+1) sum_nm fhat_nm D^ell_nm at quaternions (..., 4).
 
-    The spectrum is folded once into the Delta-factored tensor G of
-    `harmonics._synthesize_points`; each chunk of points is then one real GEMM
-    of its phases exp(i (n phi + m psi)) against G, summed against
-    cos/sin(j theta).  As in `synthesize`, the spectrum should describe a
-    real function and the real part is returned.
+    One real GEMM per chunk of points, of their phases exp(i (n phi + m psi))
+    against the folded spectrum (`harmonics._fold`), summed against
+    cos/sin(j theta).  As in `synthesize`, the real part is returned.
     """
     q = np.asarray(q, dtype=float)
     return _synthesize_points(spectrum, q.reshape(-1, 4)).reshape(q.shape[:-1])

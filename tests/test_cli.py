@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,3 +292,12 @@ def test_svg_writer(tmp_path):
     assert "power laws" in text
     with pytest.raises(ValueError):
         line_plot(tmp_path / "none.svg", [("x", np.array([-1.0]), np.array([1.0]))], log_x=True)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported lazily where it is used; a fresh interpreter shows it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, so3density.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

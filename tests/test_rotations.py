@@ -65,10 +65,10 @@ def test_compose_matches_matrix_product():
 
 
 def test_inverse():
-    # arccos near 1 resolves angles only to sqrt(eps) ~ 1e-8
+    # atan2 of the vector norm resolves angles near 0 to rounding
     for _ in range(20):
         a = random_rotation()
-        assert a.compose(a.inverse()).angle() < 1e-7
+        assert a.compose(a.inverse()).angle() < 1e-14
         assert np.abs(a.compose(a.inverse()).q - Rotation.identity().q).max() < 1e-15
 
 

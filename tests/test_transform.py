@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,54 @@ def test_wigner_orthogonality_under_quadrature():
             val = np.sum(w * np.conj(fields[a]) * fields[b])
             ref = 1.0 / (2 * a[0] + 1) if a == b else 0.0
             assert abs(val - ref) < 1e-12
+
+
+def synthesize_by_tables(grid, spectrum):
+    # reference: the per-degree scatter of d-table products, then the 2-D FFT
+    h = np.zeros(grid.shape, dtype=complex)
+    for ell in range(spectrum.lmax + 1):
+        idx = np.arange(-ell, ell + 1) % grid.n_phi
+        h[:, idx[:, None], idx[None, :]] += (2 * ell + 1) * grid.d_stack[ell] * spectrum[ell]
+    return np.fft.fft(np.fft.fft(h, axis=1), axis=2).real
+
+
+def forward_by_tables(grid, values):
+    # reference: the 2-D inverse FFT, then one weighted d-table sum per degree
+    g = np.fft.ifft(np.fft.ifft(values, axis=1), axis=2)
+    blocks = []
+    for ell in range(grid.L + 1):
+        idx = np.arange(-ell, ell + 1) % grid.n_phi
+        gl = g[:, idx[:, None], idx[None, :]]
+        blocks.append(np.einsum("j,jnm,jnm->nm", grid.theta_weights, grid.d_stack[ell], gl))
+    return blocks
+
+
+@pytest.mark.parametrize("L, band", [(0, 0), (1, 1), (2, 2), (17, 17), (49, 49), (49, 28)])
+def test_grid_transforms_match_d_tables(L, band):
+    mix = ExperimentConfig.default().build_mixture()
+    grid = T.QuadratureGrid(L)
+    spectrum = mix.full_spectrum(band)
+    values = T.synthesize(grid, spectrum)
+    ref = synthesize_by_tables(grid, spectrum)
+    assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
+    got = T.forward(grid, values)
+    ref = forward_by_tables(grid, values)
+    assert max(np.abs(got[ell] - ref[ell]).max() for ell in range(L + 1)) <= 1e-14
+
+
+def test_grid_transforms_build_no_tables_and_stay_small():
+    grid = T.QuadratureGrid(49)
+    spectrum = ExperimentConfig.default().build_mixture().full_spectrum(49)
+    tracemalloc.start()
+    try:
+        got = T.forward(grid, T.synthesize(grid, spectrum))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid._d_stack is None
+    # the d-tables alone of this grid hold 67 MB
+    assert peak < 64 * 2**20
+    assert max(np.abs(got[ell] - spectrum[ell]).max() for ell in range(50)) < 1e-12
 
 
 def test_forward_of_constant_and_character():
