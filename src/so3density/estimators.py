@@ -158,18 +158,17 @@ def wavelet_coefficient_estimate(sample, rho, g):
     return _zonal_average(sample, coeffs, g)
 
 
-def wavelet_density_estimate(sample, t, x, via_scales=False, per_octave=32):
+def wavelet_density_estimate(sample, t, x, via_scales=False):
     """Scale-integrated wavelet estimator; closed form = heat-kernel estimate.
 
     Integrating the empirical wavelet coefficients over scales >= t and adding
     the unit mass collapses analytically to kernel smoothing with the heat
     kernel at time t, which is what the default path evaluates.  With
     `via_scales=True` the estimate is actually assembled from
-    `characteristic_spectrum` scaled by psihat on a geometric scale grid and
-    inverted -- the verification path, accurate to the scale-quadrature error
-    (about 1e-5 relative at the default grid density).  That path raises
-    ValueError when t needs a band above L_MAX rather than truncate the
-    spectrum.
+    `characteristic_spectrum` scaled by psihat at the nodes of the scale rule
+    (`scale_grid`) and inverted -- the verification path, which agrees with
+    the closed form to about 1e-13.  That path raises ValueError when t needs
+    a band above L_MAX rather than truncate the spectrum.
     """
     if t <= 0:
         raise ValueError("scale must be positive")
@@ -182,9 +181,9 @@ def wavelet_density_estimate(sample, t, x, via_scales=False, per_octave=32):
             "use the closed form (via_scales=False)"
         )
     phi = characteristic_spectrum(sample, L)
-    ts = scale_grid(t, per_octave=per_octave)
+    ts, w = scale_grid(t)
     spectra = [phi.scale_per_degree(wavelet_coefficients(s, phi.lmax)) for s in ts]
-    rec = wavelet_inverse(spectra, ts, dc=1.0)
+    rec = wavelet_inverse(spectra, ts, w, dc=1.0)
     if isinstance(x, Rotation):
         return float(synthesize_at(rec, x.q))
     return synthesize_at(rec, x)

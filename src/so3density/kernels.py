@@ -45,6 +45,7 @@ __all__ = [
     "alpha",
     "wavelet_coefficients",
     "evaluate",
+    "scale_grid",
     "admissibility_residual",
     "KernelSpec",
 ]
@@ -124,30 +125,48 @@ def evaluate(coeffs, omega):
     return zonal_synthesize(coeffs, np.cos(np.asarray(omega, dtype=float) / 2.0))
 
 
+_PANEL_NODES = 12
+_TAIL = 1e-12
+
+
+def scale_grid(t_min):
+    """Nodes and weights for integral_{t_min}^inf g(t) dt: Gauss-Legendre in u = log t.
+
+    Octave panels [t_min 2^k, t_min 2^{k+1}] each carry 12 Gauss-Legendre
+    nodes in u; the weights include the Jacobian t.  Panels are added until
+    the slowest reconstruction integrand (degree 1, a = 2) has decayed to
+    1e-12 of its value at t_min and the scales reach 1; everything beyond is
+    below double-precision relevance for the scale integrals.  Returns
+    (scales, weights).
+    """
+    if t_min <= 0:
+        raise ValueError("smallest scale must be positive")
+    a = 2.0
+    floor = _TAIL * np.exp(-a * t_min)
+    panels = 1
+    while (end := t_min * 2.0**panels) < 1.0 or a * end * np.exp(-a * end) >= floor:
+        panels += 1
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    half = np.log(2.0) / 2.0
+    u = np.log(t_min) + half * (2.0 * np.arange(panels)[:, None] + 1.0 + x)
+    scales = np.exp(u).ravel()
+    return scales, np.tile(half * w, panels) * scales
+
+
 def admissibility_residual(ell, rho):
     """| integral_rho^inf alpha(t) psihat_ell(t)^2 dt  -  e^{-ell (ell+1) rho} |.
 
-    Evaluated by adaptive quadrature through the public alpha/wavelet
-    functions (not the analytically cancelled form), so it genuinely checks
-    the reconstruction identity.  Degree 0 returns 1: the constant mode is
-    outside the wavelet span.
+    Evaluated on the scale rule of `scale_grid(rho)` through the public
+    alpha/wavelet functions (not the analytically cancelled form), so it
+    genuinely checks the reconstruction identity with the rule the wavelet
+    inverse uses.  Degree 0 returns 1: the constant mode is outside the
+    wavelet span.
     """
-    # scipy is imported here, not at module load, where it would be most of
-    # the package's import time
-    from scipy.integrate import quad
-
     if ell == 0:
         return 1.0
-    a = ell * (ell + 1)
-
-    def integrand(t):
-        return alpha(t) * wavelet_coefficients(t, ell)[ell] ** 2
-
-    # the tail past rho + 60/a is below e^{-60} of the value; stopping there
-    # keeps alpha(t) clear of underflow
-    upper = rho + 60.0 / a
-    val, _ = quad(integrand, rho, upper, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return abs(val - np.exp(-a * rho))
+    ts, w = scale_grid(rho)
+    val = sum(wk * alpha(t) * wavelet_coefficients(t, ell)[ell] ** 2 for t, wk in zip(ts, w))
+    return abs(val - np.exp(-ell * (ell + 1) * rho))
 
 
 _FAMILIES = ("heat", "vp", "char")

@@ -14,6 +14,11 @@ their Parseval values.
 sum as one GEMM of cos/sin(j theta) at the Gauss-Legendre nodes against the
 Delta-factored tensor of `harmonics` (`_unfold`, `_fold`); `synthesize_at`
 evaluates a spectrum at scattered rotations through the same tensor.
+
+`wavelet_inverse` integrates over scales with the rule of `scale_grid`
+(kept in `kernels`, beside the admissibility identity it also checks):
+12 Gauss-Legendre nodes per octave of u = log t, which reproduces each heat
+factor e^{-l(l+1) t_min} to about 1e-14.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .harmonics import L_MAX, _fold, _synthesize_points, _trig, _unfold, wigner_d_stack
-from .kernels import alpha, wavelet_coefficients
+from .kernels import alpha, scale_grid, wavelet_coefficients
 from .rotations import quat_from_euler_zyz
 from .spectra import FullSpectrum
 
@@ -31,7 +36,6 @@ __all__ = [
     "synthesize",
     "synthesize_at",
     "scale_grid",
-    "scale_weights",
     "wavelet_transform",
     "wavelet_inverse",
 ]
@@ -151,66 +155,32 @@ def synthesize_at(spectrum, q):
     return _synthesize_points(spectrum, q.reshape(-1, 4)).reshape(q.shape[:-1])
 
 
-def scale_grid(t_min, per_octave=32, tol=1e-12):
-    """Geometric scale nodes t_min * 2^{k/per_octave} covering (t_min, inf).
-
-    The grid stops once the slowest reconstruction integrand (degree 1,
-    a = 2) has decayed to `tol` of its value at t_min; everything beyond is
-    below double-precision relevance for the scale integrals.
-    """
-    if t_min <= 0:
-        raise ValueError("smallest scale must be positive")
-    a = 2.0
-    floor = tol * np.exp(-a * t_min)
-    ratio = 2.0 ** (1.0 / per_octave)
-    ts = [t_min]
-    while a * ts[-1] * np.exp(-a * ts[-1]) >= floor or ts[-1] < 1.0:
-        ts.append(ts[-1] * ratio)
-    return np.array(ts)
-
-
-def scale_weights(scales):
-    """Trapezoid weights for integral_0^inf g(t) dt on a log-spaced grid.
-
-    Computed in u = log t, so the returned weights include the Jacobian t.
-    """
-    scales = np.asarray(scales, dtype=float)
-    if scales.ndim != 1 or scales.shape[0] < 2:
-        raise ValueError("need at least two scale nodes")
-    u = np.log(scales)
-    w = np.empty_like(u)
-    w[0] = (u[1] - u[0]) / 2.0
-    w[-1] = (u[-1] - u[-2]) / 2.0
-    w[1:-1] = (u[2:] - u[:-2]) / 2.0
-    return w * scales
-
-
 def wavelet_transform(spectrum, rho):
     """Wavelet coefficient spectrum at scale rho: degreewise psihat_ell * fhat."""
     return spectrum.scale_per_degree(wavelet_coefficients(rho, spectrum.lmax))
 
 
-def wavelet_inverse(spectra, scales, dc=1.0):
+def wavelet_inverse(spectra, scales, weights, dc=1.0):
     """Integrate wavelet coefficient spectra over scales back to a density.
 
-    Given spectra[k] = wavelet transform at scales[k] (a grid from
-    `scale_grid`), returns the spectrum of
+    Given spectra[k] = wavelet transform at scales[k], with the nodes and
+    weights of a scale rule (`scale_grid`), returns the spectrum of
 
         dc + integral alpha(t) (W f)(t, .) * Psi_t dt,
 
-    which reproduces heat smoothing of f at time scales[0] (the admissibility
-    identity), with the constant mode restored from `dc`.
+    which reproduces heat smoothing of f at the rule's lower limit (the
+    admissibility identity), with the constant mode restored from `dc`.
     """
     scales = np.asarray(scales, dtype=float)
-    if len(spectra) != scales.shape[0]:
-        raise ValueError("one spectrum per scale node is required")
+    weights = np.asarray(weights, dtype=float)
+    if len(spectra) != scales.shape[0] or weights.shape != scales.shape:
+        raise ValueError("one spectrum and one weight per scale node are required")
     L = spectra[0].lmax
     if any(s.lmax != L for s in spectra):
         raise ValueError("all spectra must share one bandlimit")
-    w = scale_weights(scales)
     blocks = [np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(L + 1)]
     for k, spec in enumerate(spectra):
-        factors = w[k] * alpha(scales[k]) * wavelet_coefficients(scales[k], L)
+        factors = weights[k] * alpha(scales[k]) * wavelet_coefficients(scales[k], L)
         for ell in range(1, L + 1):
             blocks[ell] += factors[ell] * spec[ell]
     blocks[0][0, 0] = dc

@@ -203,7 +203,7 @@ def test_criterion_6_structural_identities():
     three_path = max(float(np.max(np.abs(a - b))), float(np.max(np.abs(a - c))))
 
     direct = wavelet_density_estimate(sample, 0.25, pts)
-    scaled = wavelet_density_estimate(sample, 0.25, pts, via_scales=True, per_octave=64)
+    scaled = wavelet_density_estimate(sample, 0.25, pts, via_scales=True)
     two_path = float(np.max(np.abs(direct - scaled)))
 
     profile = MIX.energy_per_degree(L)
@@ -229,11 +229,11 @@ def test_criterion_6_structural_identities():
             total += (2 * ell + 1) ** 2 * res.fun
         quad_dev = max(quad_dev, abs(total - bound) / bound)
 
-    ok = three_path <= 1e-9 and two_path <= 1e-4 and closed_form <= 1e-14 and quad_dev <= 1e-12
+    ok = three_path <= 1e-9 and two_path <= 1e-11 and closed_form <= 1e-14 and quad_dev <= 1e-12
     _report(
         6,
         ok,
-        f"three-path {three_path:.1e} (tol 1e-9), two-path {two_path:.1e} (tol 1e-4), "
+        f"three-path {three_path:.1e} (tol 1e-9), two-path {two_path:.1e} (tol 1e-11), "
         f"wavelet-mise closed form {closed_form:.1e} (tol 1e-14), "
         f"per-degree minimization {quad_dev:.1e} (tol 1e-12)",
     )

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from so3density import kernels as K
 from so3density.spectra import zonal_convolve, zonal_energy
@@ -77,10 +78,29 @@ def test_wavelet_has_unit_norm(rho):
     assert zonal_energy(psi) == pytest.approx(1.0, abs=1e-10)
 
 
+def quad_admissibility_residual(ell, rho):
+    # adaptive quadrature of the same integrand; the tail past rho + 60/a is
+    # below e^{-60} of the value, and stopping there keeps alpha(t) clear of
+    # underflow
+    a = ell * (ell + 1)
+    val, _ = quad(
+        lambda t: K.alpha(t) * K.wavelet_coefficients(t, ell)[ell] ** 2,
+        rho,
+        rho + 60.0 / a,
+        epsabs=1e-13,
+        epsrel=1e-12,
+        limit=200,
+    )
+    return abs(val - np.exp(-a * rho))
+
+
 def test_admissibility_reproduces_heat_coefficient():
-    # integral over scales of alpha * psihat^2 equals the heat coefficient
-    for ell in (1, 2, 5, 11):
-        assert K.admissibility_residual(ell, 0.25) < 1e-10
+    # integral over scales of alpha * psihat^2 equals the heat coefficient;
+    # the scale rule agrees with adaptive quadrature
+    for rho in (1e-3, 0.25):
+        for ell in range(1, 21):
+            got = K.admissibility_residual(ell, rho)
+            assert abs(got - quad_admissibility_residual(ell, rho)) < 1e-13
     assert K.admissibility_residual(0, 0.25) == 1.0
 
 

@@ -6,6 +6,7 @@ import pytest
 from so3density import kernels as K
 from so3density import transform as T
 from so3density.config import ExperimentConfig
+from so3density.estimators import heat_truncation_degree
 from so3density.harmonics import character, wigner_D
 from so3density.rotations import Rotation
 from so3density.spectra import FullSpectrum, MixtureComponent, ZonalMixture
@@ -184,14 +185,14 @@ def test_synthesize_at_across_chunks():
 
 
 def test_scale_grid_and_weights():
-    ts = T.scale_grid(0.25)
-    assert ts[0] == 0.25
-    assert np.allclose(ts[1:] / ts[:-1], 2.0 ** (1.0 / 32.0))
-    # trapezoid against the analytic integral of 2 t e^{-2t} over [t_min, inf)
-    w = T.scale_weights(ts)
+    ts, w = T.scale_grid(0.25)
+    # six octave panels of 12 Gauss-Legendre nodes, all inside (t_min, 16)
+    assert ts.shape == w.shape == (72,)
+    assert 0.25 < ts[0] and np.all(np.diff(ts) > 0) and ts[-1] < 16.0
+    # against the analytic integral of 2 t e^{-2t} over the panels [t_min, 16]
     got = np.sum(w * 2.0 * ts * np.exp(-2.0 * ts))
-    ref = (0.25 + 0.5) * np.exp(-0.5)
-    assert abs(got - ref) / ref < 5e-5
+    ref = (0.25 + 0.5) * np.exp(-0.5) - (16.0 + 0.5) * np.exp(-32.0)
+    assert abs(got - ref) / ref < 1e-14
     with pytest.raises(ValueError):
         T.scale_grid(0.0)
 
@@ -206,41 +207,30 @@ def test_wavelet_transform_scales_per_degree():
 
 
 def test_wavelet_inverse_reproduces_heat_factor():
-    # Fourier-side identity: reconstruction = fhat * e^{-l(l+1) t_min}
-    L = 8
-    fz = K.heat_coefficients(0.05, L)
-    fs = FullSpectrum.from_zonal(fz)
-    t_min = 0.25
-    heat = K.heat_coefficients(t_min, L)
-
-    def rec_rel_errors(per_octave):
-        ts = T.scale_grid(t_min, per_octave=per_octave)
-        spectra = [T.wavelet_transform(fs, t) for t in ts]
-        rec = T.wavelet_inverse(spectra, ts, dc=fz[0])
-        return np.array(
-            [
-                abs(rec[l][l, l].real - fz[l] * heat[l]) / (fz[l] * heat[l])
-                for l in range(1, L + 1)
-            ]
-        )
-
-    e32 = rec_rel_errors(32)
-    assert e32[0] < 1e-4 and e32[1] < 1e-4
-    e64 = rec_rel_errors(64)
-    # trapezoid in log-scale is second order: quartering per doubled density
-    assert np.all(e64 < e32)
-    assert e64[0] == pytest.approx(e32[0] / 4.0, rel=0.05)
+    # Fourier-side identity, per degree: reconstruction = fhat * e^{-l(l+1) t_min}
+    # for every degree the heat kernel at t_min carries
+    for t_min in (1 / 4, 1 / 16, 1 / 64):
+        L = heat_truncation_degree(t_min)
+        fs = FullSpectrum.from_zonal(np.ones(L + 1))
+        ts, w = T.scale_grid(t_min)
+        rec = T.wavelet_inverse([T.wavelet_transform(fs, t) for t in ts], ts, w, dc=1.0)
+        heat = K.heat_coefficients(t_min, L)
+        for l in range(L + 1):
+            assert np.abs(rec[l] - heat[l] * np.eye(2 * l + 1)).max() < 1e-13
+    with pytest.raises(ValueError):
+        T.wavelet_inverse([T.wavelet_transform(fs, t) for t in ts], ts, w[1:])
 
 
 def test_wavelet_inverse_restores_dc():
     f = FullSpectrum.from_zonal([1.0])
-    ts = T.scale_grid(0.5, per_octave=8)
-    rec = T.wavelet_inverse([T.wavelet_transform(f, t) for t in ts], ts, dc=1.0)
+    ts, w = T.scale_grid(0.5)
+    rec = T.wavelet_inverse([T.wavelet_transform(f, t) for t in ts], ts, w, dc=1.0)
     assert rec[0][0, 0] == 1.0
 
 
 def test_wavelet_unitarity_on_grid():
-    # <WT f1, WT f2> over scales x SO(3) with alpha(t) dt dmu = <f1, f2>, DC removed
+    # <WT f1, WT f2> over scales (t_min, inf) x SO(3) with alpha(t) dt dmu is
+    # <f1, f2> heat-weighted at t_min, DC removed
     mix1 = example_mixture()
     a = np.array([1.0, 0.55, 0.3, 0.1])
     mix2 = ZonalMixture(
@@ -250,13 +240,15 @@ def test_wavelet_unitarity_on_grid():
     g = T.QuadratureGrid(L)
     f1 = mix1.full_spectrum(L)
     f2 = mix2.full_spectrum(L)
+    t_min = 2.0**-24
+    heat = K.heat_coefficients(t_min, L)
     ref = sum(
-        (2 * l + 1) * np.sum(f1[l] * np.conj(f2[l])).real for l in range(1, L + 1)
+        (2 * l + 1) * heat[l] * np.sum(f1[l] * np.conj(f2[l])).real for l in range(1, L + 1)
     )
-    ts = T.scale_grid(2.0**-24)
+    ts, ws = T.scale_grid(t_min)
     acc = 0.0
-    for t, w in zip(ts, T.scale_weights(ts)):
+    for t, w in zip(ts, ws):
         v1 = T.synthesize(g, T.wavelet_transform(f1, t))
         v2 = T.synthesize(g, T.wavelet_transform(f2, t))
         acc += w * K.alpha(t) * g.integrate(v1 * v2)
-    assert abs(acc - ref) / abs(ref) < 1e-4
+    assert abs(acc - ref) / abs(ref) < 1e-12
