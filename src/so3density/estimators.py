@@ -29,7 +29,7 @@ import numpy as np
 from .harmonics import L_MAX, _conj_wigner_sum
 from .kernels import KernelSpec, heat_coefficients, wavelet_coefficients
 from .rotations import Rotation
-from .spectra import _BLOCK, FullSpectrum, zonal_synthesize
+from .spectra import _BLOCK, FullSpectrum, _aligned_empty, zonal_synthesize
 from .transform import scale_grid, synthesize, synthesize_at, wavelet_inverse
 
 __all__ = [
@@ -76,18 +76,22 @@ def _zonal_average(sample, coeffs, x):
 
     Pairs are taken in blocks of about `_BLOCK` (sample rows x points), so
     the work arrays stay the same size for any K and N.  A block's
-    cos(omega/2) values are one GEMM, |<X_k, x_j>| clamped to 1.
+    cos(omega/2) values are one GEMM, |<X_k, x_j>| clamped to 1, written
+    into one cache-line-aligned buffer reused for every block.
     """
     pts, scalar = _as_quat_array(x)
     sq = sample.quaternions
     cols = max(1, min(pts.shape[0], math.isqrt(_BLOCK)))
     rows = _BLOCK // cols
+    buf = _aligned_empty(rows * cols)
     out = np.zeros(pts.shape[0])
     for p0 in range(0, pts.shape[0], cols):
         piece_t = pts[p0 : p0 + cols].T
         acc = out[p0 : p0 + cols]
         for r0 in range(0, sq.shape[0], rows):
-            t = sq[r0 : r0 + rows] @ piece_t
+            block = sq[r0 : r0 + rows]
+            t = buf[: block.shape[0] * piece_t.shape[1]].reshape(block.shape[0], -1)
+            np.matmul(block, piece_t, out=t)
             np.abs(t, out=t)
             np.minimum(t, 1.0, out=t)
             acc += zonal_synthesize(coeffs, t).sum(axis=0)

@@ -46,6 +46,20 @@ __all__ = [
 #: cache for all L steps, where whole-array steps would stream through memory
 _BLOCK = 1 << 14
 
+#: byte alignment of the blocked loops' arrays.  malloc aligns to 16 bytes, so
+#: a fresh array starts 0, 16, 32 or 48 bytes into a cache line depending on
+#: the heap's history; the vector loops then split loads across lines and run
+#: the Clenshaw steps 30-60% slower, differently from one process to the next
+_ALIGN = 64
+
+
+def _aligned_empty(shape):
+    """Uninitialized C-contiguous float64 array starting on an `_ALIGN` boundary."""
+    n = int(np.prod(shape))
+    raw = np.empty(n + _ALIGN // 8)
+    skip = (-raw.ctypes.data % _ALIGN) // 8
+    return raw[skip : skip + n].reshape(shape)
+
 
 def zonal_synthesize(coeffs, cos_half):
     """Evaluate sum_ell (2*ell+1) coeffs[ell] chi^ell at cos(omega/2) values.
@@ -64,8 +78,10 @@ def zonal_synthesize(coeffs, cos_half):
     c[1:] *= 2.0
     L = c.shape[0] - 1
     flat = t.reshape(-1)
-    out = np.empty(flat.shape[0])
-    work = np.empty((4, min(_BLOCK, flat.shape[0])))
+    out = _aligned_empty(flat.shape[0])
+    # rows padded to whole cache lines, so each row starts on one
+    width = min(_BLOCK, flat.shape[0])
+    work = _aligned_empty((4, -(-width // 8) * 8))
     for start in range(0, flat.shape[0], _BLOCK):
         piece = flat[start : start + _BLOCK]
         seg = out[start : start + _BLOCK]

@@ -53,6 +53,20 @@ def test_zonal_synthesize_matches_sine_ratio(L):
     assert S.zonal_synthesize(a, np.full((2, 3), 0.3)).shape == (2, 3)
 
 
+def test_zonal_synthesize_arrays_start_on_cache_lines():
+    # malloc gives 16-byte alignment; the blocked loops allocate their own
+    # 64-byte-aligned arrays, and the values do not depend on the input's
+    for shape in [1, 7, (4, S._BLOCK), (3, 5, 7)]:
+        assert S._aligned_empty(shape).ctypes.data % S._ALIGN == 0
+    a = rng.normal(size=30)
+    t = rng.uniform(-1.0, 1.0, size=S._BLOCK + 13)
+    shifted = np.empty(t.shape[0] + 1)[1:]  # 8 bytes past its allocation
+    shifted[:] = t
+    got = S.zonal_synthesize(a, shifted)
+    assert got.ctypes.data % S._ALIGN == 0
+    assert np.array_equal(got, S.zonal_synthesize(a, t))
+
+
 def test_zonal_energy_and_convolve():
     a = np.array([1.0, 0.5, 0.25])
     assert S.zonal_energy(a) == pytest.approx(1.0 + 9 * 0.25 + 25 * 0.0625)
