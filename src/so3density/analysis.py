@@ -208,22 +208,3 @@ class MiseCurve:
                 w.writerow(
                     [kernel, f"{bw:.17g}", f"{K:.17g}", f"{value:.17g}", f"{bound:.17g}"]
                 )
-
-    @classmethod
-    def from_csv(cls, path):
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(cls.HEADER):
-                raise ValueError(f"{path}: expected header {','.join(cls.HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 5:
-                    raise ValueError(f"{path}: line {lineno}: expected 5 fields")
-                try:
-                    rows.append(
-                        (row[0], float(row[1]), float(row[2]), float(row[3]), float(row[4]))
-                    )
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-        return cls(tuple(rows))

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import L_MAX, _conj_wigner_sum
-from .kernels import KernelSpec, heat_coefficients, wavelet_coefficients
-from .rotations import Rotation
+from .kernels import KernelSpec, wavelet_coefficients
+from .rotations import Rotation, quat_canonicalize
 from .spectra import _BLOCK, FullSpectrum, _aligned_empty, zonal_synthesize
-from .transform import scale_grid, synthesize, synthesize_at, wavelet_inverse
+from .transform import scale_grid, synthesize, synthesize_at, wavelet_inverse, wavelet_transform
 
 __all__ = [
     "EstimatorSpec",
@@ -61,13 +61,19 @@ def heat_truncation_degree(t, tol=1e-18):
 
 
 def _as_quat_array(x):
+    """Evaluation points as unit quaternions of shape (N, 4), and whether x was one point.
+
+    Arrays pass through `quat_canonicalize`, which refuses a non-finite or
+    zero row and normalizes a scaled one; unit rows keep their values, and
+    |<p, q>| ignores the sign flip.
+    """
     if isinstance(x, Rotation):
         return x.q[None, :], True
     q = np.asarray(x, dtype=float)
     if q.shape == (4,):
-        return q[None, :], True
+        return quat_canonicalize(q[None, :]), True
     if q.ndim >= 2 and q.shape[-1] == 4:
-        return q.reshape(-1, 4), False
+        return quat_canonicalize(q.reshape(-1, 4)), False
     raise ValueError("evaluation points must be a Rotation or an (..., 4) array")
 
 
@@ -186,8 +192,7 @@ def wavelet_density_estimate(sample, t, x, via_scales=False):
         )
     phi = characteristic_spectrum(sample, L)
     ts, w = scale_grid(t)
-    spectra = [phi.scale_per_degree(wavelet_coefficients(s, phi.lmax)) for s in ts]
-    rec = wavelet_inverse(spectra, ts, w, dc=1.0)
+    rec = wavelet_inverse([wavelet_transform(phi, s) for s in ts], ts, w, dc=1.0)
     if isinstance(x, Rotation):
         return float(synthesize_at(rec, x.q))
     return synthesize_at(rec, x)

@@ -24,13 +24,13 @@ one angle, and cached.  The symmetry of Delta folds the sum onto j = 0..ell
 with cos(j theta) or sin(j theta) by the parity of n - m (`_delta_blocks`).
 On top of that:
 
-* polar tables (`wigner_d_stack`, a grid's `d_stack` for checks): one real
-  GEMM per parity block, cos/sin(j theta) against the Delta products;
-* Wigner-D sums over rotations (`_conj_wigner_sum`): for the empirical
-  characteristic function, the separable tensor
-  sum_k w_k e^{i n phi_k} cos/sin(j theta_k) e^{i m psi_k}, one GEMM per
-  chunk of rotations, contracted against the Delta products per degree; for
-  a mixture's few centres, whose weights vary by degree, the polar tables;
+* polar tables (`wigner_d_stack`, a grid's `d_stack`): one real GEMM per
+  parity block, cos/sin(j theta) against the Delta products;
+* the empirical characteristic function (`_conj_wigner_sum`): the
+  separable tensor sum_k e^{i n phi_k} cos/sin(j theta_k) e^{i m psi_k}, one
+  GEMM per chunk of rotations, contracted against the Delta products per
+  degree (a mixture's few centres, whose weights vary by degree, are summed
+  over their polar tables instead, in `spectra.ZonalMixture.full_spectrum`);
 * pointwise synthesis (`_synthesize_points`): the adjoint, a spectrum
   folded once into a tensor over (j, n, m), then one GEMM per chunk of
   points;
@@ -297,37 +297,24 @@ def _fold(spectrum):
     return g
 
 
-def _conj_wigner_sum(L, q, weights):
-    """Blocks sum_k weights[k, ell] conj(D^ell(q_k)) for ell = 0..L.
+def _conj_wigner_sum(L, q, weight):
+    """Blocks weight * sum_k conj(D^ell(q_k)) for ell = 0..L.
 
     conj(D^ell_nm(q_k)) = e^{i n phi_k} d^ell_nm(theta_k) e^{i m psi_k}, and
     by `_delta_blocks` d^ell is a sum over j of trig_p(j theta) P[j]; so each
     block is the contraction against P of the separable tensor
-    X[p, j, n, m] = sum_k weights[k] e^{i (n phi_k + m psi_k)} trig_p(j theta_k).
-    Weights that are one per rotation (shape (K,) or a scalar; the empirical
-    characteristic function) share one X for all degrees, summed over the
-    chunks of `_phase_chunks`.  Weights of shape (K, L+1) (a zonal mixture's
-    w_i a_i^ell over its few centres) are summed degree by degree over the
-    polar tables of `_polar` at the rotations' theta.
+    X[p, j, n, m] = weight sum_k e^{i (n phi_k + m psi_k)} trig_p(j theta_k),
+    one X for all degrees, summed by one real GEMM per chunk of
+    `_phase_chunks`.  The empirical characteristic function passes
+    weight = 1/K.
     """
     L = _check_degree(L)
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim < 2:
-        weights = np.broadcast_to(weights, q.shape[:1])
-        x = np.zeros((2 * (L + 1), 2 * (2 * L + 1) ** 2))
-        for rows, e, trig in _phase_chunks(L, q):
-            e *= weights[rows, None, None]
-            # one real GEMM: the complex e read as pairs of reals
-            x += trig.reshape(e.shape[0], -1).T @ e.view(float).reshape(e.shape[0], -1)
-        return _unfold(x.view(complex).reshape(2, L + 1, 2 * L + 1, 2 * L + 1))
-    blocks = [np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(L + 1)]
-    for rows, e, trig in _phase_chunks(L, q):
-        for ell in range(L + 1):
-            sl = slice(L - ell, L + ell + 1)
-            blocks[ell] += np.einsum(
-                "k,knm,knm->nm", weights[rows, ell], e[:, sl, sl], _polar(ell, trig)
-            )
-    return blocks
+    x = np.zeros((2 * (L + 1), 2 * (2 * L + 1) ** 2))
+    for _, e, trig in _phase_chunks(L, q):
+        e *= weight
+        # one real GEMM: the complex e read as pairs of reals
+        x += trig.reshape(e.shape[0], -1).T @ e.view(float).reshape(e.shape[0], -1)
+    return _unfold(x.view(complex).reshape(2, L + 1, 2 * L + 1, 2 * L + 1))
 
 
 def _synthesize_points(spectrum, q):

@@ -43,10 +43,14 @@ def quat_canonicalize(q):
     """Normalize to unit length and flip sign into the canonical hemisphere.
 
     Idempotent: quaternions already unit to round-off are not rescaled, so
-    serialization round-trips reproduce the stored bits exactly.
+    serialization round-trips reproduce the stored bits exactly.  A row whose
+    norm is zero or not finite (NaN, inf, or overflowing) raises ValueError
+    rather than turning into NaN.
     """
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(n) & (n > 0)):
+        raise ValueError("quaternion must be finite and nonzero")
     q = q / np.where(np.abs(n - 1.0) < 1e-12, 1.0, n)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     # sign key: w, falling back to x, y, z for w == 0
@@ -230,18 +234,6 @@ class Rotation:
     def angle(self):
         """Rotation angle omega in [0, pi] (equals arccos((tr R - 1)/2))."""
         return float(quat_angle(self.q))
-
-    # -- serialization: "w x y z", full double precision
-
-    def to_text(self):
-        return " ".join(f"{v:.17g}" for v in self.q)
-
-    @classmethod
-    def from_text(cls, text):
-        parts = text.split()
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 fields 'w x y z', got {len(parts)}")
-        return cls.from_quaternion([float(p) for p in parts])
 
     def __repr__(self):
         w, x, y, z = self.q

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from collections import namedtuple
 
 import numpy as np
 
@@ -33,8 +32,6 @@ __all__ = [
     "sample_uniform",
     "sample_zonal",
     "sample_mixture",
-    "validate_characteristic_properties",
-    "CheckResult",
 ]
 
 logger = logging.getLogger(__name__)
@@ -45,7 +42,11 @@ _CLAMP_FLOOR = -1e-6
 
 
 class RotationSample:
-    """An ordered sample of rotations held as an (K, 4) canonical quaternion array."""
+    """An ordered sample of rotations held as an (K, 4) canonical quaternion array.
+
+    Rows are normalized by `quat_canonicalize`; a non-finite or zero row
+    raises ValueError.
+    """
 
     __slots__ = ("quaternions",)
 
@@ -63,10 +64,6 @@ class RotationSample:
 
     def __getitem__(self, k):
         return Rotation.from_quaternion(self.quaternions[k])
-
-    def translated(self, g):
-        """Left translation {g X_k}; used by the equivariance checks."""
-        return RotationSample(quat_multiply(g.q, self.quaternions))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -209,77 +206,3 @@ def sample_mixture(m, K, seed, with_counts=False):
     if with_counts:
         return sample, counts
     return sample
-
-
-CheckResult = namedtuple("CheckResult", ["name", "deviation", "tolerance", "ok"])
-
-
-def _max_block_dev(spec_a, blocks_b, lmax):
-    return max(np.abs(spec_a[ell] - blocks_b[ell]).max() for ell in range(1, lmax + 1))
-
-
-def validate_characteristic_properties(seed, K=20000, L=3):
-    """Monte-Carlo checks of the basic characteristic-function calculus.
-
-    (a) the characteristic function of a product of independent samples is the
-    product of the characteristic matrices, (b) i.i.d. n-fold products raise
-    the per-degree matrices to the n-th power, (c) zonal samples give nearly
-    diagonal matrices with the zonal coefficients on the diagonal, and a
-    uniform factor wipes out every degree >= 1.
-
-    Returns a list of CheckResult rows; tolerances are a few standard errors
-    wide (entries of an empirical characteristic matrix fluctuate at K^{-1/2}).
-    """
-    from .estimators import characteristic_spectrum  # local import, no cycle at module load
-
-    rng = np.random.default_rng(seed)
-    se = 1.0 / np.sqrt(K)
-    results = []
-
-    rho, sigma = 0.15, 0.3
-    from .kernels import heat_coefficients
-
-    x = sample_zonal(heat_coefficients(rho, 16), K, rng)
-    y = sample_zonal(heat_coefficients(sigma, 16), K, rng)
-    z = RotationSample(quat_multiply(x.quaternions, y.quaternions))
-    phi_x = characteristic_spectrum(x, L)
-    phi_y = characteristic_spectrum(y, L)
-    phi_z = characteristic_spectrum(z, L)
-
-    prod = [phi_x[ell] @ phi_y[ell] for ell in range(L + 1)]
-    dev = _max_block_dev(phi_z, prod, L)
-    tol = 8.0 * se
-    results.append(CheckResult("product-of-independents", dev, tol, dev <= tol))
-
-    ell = np.arange(L + 1, dtype=float)
-    heat_sum = np.exp(-ell * (ell + 1) * (rho + sigma))
-    dev = max(
-        np.abs(np.diag(phi_z[l]) - heat_sum[l]).max() for l in range(1, L + 1)
-    )
-    tol = 6.0 * se
-    results.append(CheckResult("product-semigroup-diagonal", dev, tol, dev <= tol))
-
-    x3 = [sample_zonal(heat_coefficients(rho, 16), K, rng) for _ in range(3)]
-    q3 = quat_multiply(quat_multiply(x3[0].quaternions, x3[1].quaternions), x3[2].quaternions)
-    phi3 = characteristic_spectrum(RotationSample(q3), L)
-    heat3 = np.exp(-ell * (ell + 1) * 3.0 * rho)
-    dev = max(np.abs(np.diag(phi3[l]) - heat3[l]).max() for l in range(1, L + 1))
-    tol = 6.0 * se
-    results.append(CheckResult("iid-power-diagonal", dev, tol, dev <= tol))
-
-    off_dev = 0.0
-    for l in range(1, L + 1):
-        block = phi_x[l].copy()
-        np.fill_diagonal(block, 0.0)
-        off_dev = max(off_dev, np.abs(block).max())
-    tol = 6.0 * se
-    results.append(CheckResult("zonal-near-diagonal", off_dev, tol, off_dev <= tol))
-
-    u = sample_uniform(K, rng)
-    zu = RotationSample(quat_multiply(u.quaternions, x.quaternions))
-    phi_u = characteristic_spectrum(zu, L)
-    dev = max(np.abs(phi_u[l]).max() for l in range(1, L + 1))
-    tol = 6.0 * se
-    results.append(CheckResult("uniform-factor-kills", dev, tol, dev <= tol))
-
-    return results

@@ -28,14 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import L_MAX, _conj_wigner_sum, characters_all
-from .rotations import Rotation, quat_cos_half_between
+from .harmonics import L_MAX, characters_all, wigner_d_stack
+from .rotations import Rotation, quat_cos_half_between, quat_to_euler_zyz
 
 __all__ = [
     "zonal_synthesize",
     "zonal_energy",
     "zonal_convolve",
-    "energy_per_degree",
     "FullSpectrum",
     "MixtureComponent",
     "ZonalMixture",
@@ -113,12 +112,6 @@ def zonal_energy(coeffs):
     return float(np.sum((w * coeffs) ** 2))
 
 
-def energy_per_degree(coeffs):
-    """Per-degree profile a_ell^2 of a zonal coefficient array."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return coeffs**2
-
-
 def zonal_convolve(a, b):
     """Spectrum of the convolution of two zonal functions (entrywise product).
 
@@ -168,15 +161,6 @@ class FullSpectrum:
     def __getitem__(self, ell):
         return self.blocks[ell]
 
-    @classmethod
-    def zeros(cls, L):
-        return cls([np.zeros((2 * ell + 1, 2 * ell + 1), dtype=complex) for ell in range(L + 1)])
-
-    @classmethod
-    def from_zonal(cls, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        return cls([coeffs[ell] * np.eye(2 * ell + 1) for ell in range(coeffs.shape[0])])
-
     def scale_per_degree(self, factors):
         """New spectrum with block ell multiplied by factors[ell] (kernel
         smoothing acts this way on zonal kernels)."""
@@ -190,11 +174,6 @@ class FullSpectrum:
         return np.array(
             [np.sum(np.abs(b) ** 2) / (2 * ell + 1) for ell, b in enumerate(self.blocks)]
         )
-
-    def total_energy(self):
-        """Parseval: sum_ell (2*ell+1)^2 prof[ell]."""
-        w = 2.0 * np.arange(len(self.blocks)) + 1.0
-        return float(np.sum(w**2 * self.energy_per_degree()))
 
 
 @dataclass(frozen=True)
@@ -274,11 +253,25 @@ class ZonalMixture:
 
     def full_spectrum(self, L=None):
         """Matrix coefficients: fhat^ell = sum_i w_i a_i^ell conj(D^ell(c_i))
-        plus the uniform mass at ell = 0; one Wigner-D sum over the centres."""
+        plus the uniform mass at ell = 0.
+
+        conj(D^ell_nm(c)) = e^{i n phi} d^ell_nm(theta) e^{i m psi} at the
+        centre's Euler angles.  The weights vary by degree, so the few
+        centres are summed degree by degree over their polar tables
+        (`wigner_d_stack`).
+        """
         if L is None:
             L = self.lmax
         centers = np.array([c.center.q for c in self.components]).reshape(-1, 4)
         weights = np.array([c.weight * _pad(c.coefficients, L) for c in self.components])
-        blocks = _conj_wigner_sum(L, centers, weights.reshape(-1, L + 1))
+        weights = weights.reshape(-1, L + 1)  # (0, L+1) for the uniform mixture
+        phi, theta, psi = quat_to_euler_zyz(centers)
+        blocks = []
+        for ell, d in enumerate(wigner_d_stack(L, theta)):
+            n = np.arange(-ell, ell + 1)
+            e_n = np.exp(1j * np.multiply.outer(phi, n))
+            e_m = np.exp(1j * np.multiply.outer(psi, n))
+            e = e_n[:, :, None] * e_m[:, None, :]
+            blocks.append(np.einsum("k,knm,knm->nm", weights[:, ell], e, d))
         blocks[0][0, 0] += self.uniform_weight
         return FullSpectrum(blocks)

@@ -12,8 +12,9 @@ import pytest
 import so3density.cli as cli
 from so3density.analysis import MiseCurve
 from so3density.config import ComponentConfig, ExperimentConfig, parse_angle
-from so3density.estimators import EstimatorSpec
-from so3density.sampling import RotationSample
+from so3density.estimators import EstimatorSpec, kernel_estimate
+from so3density.kernels import KernelSpec
+from so3density.sampling import RotationSample, sample_uniform
 from so3density.svg import line_plot
 from so3density.transform import QuadratureGrid
 
@@ -157,10 +158,12 @@ def test_mise_command(tmp_path):
         cli.main(["mise", "--config", cfg, "--out", str(out), "--via-quadrature", "--svg"])
         == 0
     )
-    curve = MiseCurve.from_csv(out / "mise.csv")
-    assert len(curve.rows) == 5 * 6
-    for kernel, bw, K, value, bound in curve.rows:
-        assert value >= bound - 1e-10
+    with open(out / "mise.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(MiseCurve.HEADER)
+    assert len(rows) == 5 * 6
+    for kernel, bw, K, value, bound in rows:
+        assert float(value) >= float(bound) - 1e-10
     for fam in ("heat", "vp", "char"):
         assert (out / f"mise_{fam}.svg").exists()
 
@@ -174,6 +177,80 @@ def test_mc_validate_command(tmp_path):
     assert len(lines) == 1 + 3  # two estimators + uniform control
     for line in lines[1:]:
         assert abs(float(line.split(",")[4])) <= 3.0
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+# the configuration of the pinned outputs in tests/golden/ (sample.csv,
+# estimate.csv, mise.csv, mc_validate.csv), written by `so3density sample`,
+# `estimate tests/golden/sample.csv`, `mise --via-quadrature` and
+# `mc-validate` with this file as --config and --seed 7
+GOLDEN_CFG = """
+[mixture]
+uniform_weight = 0.3
+component.1.weight = 0.5
+component.1.kappa = 4
+component.1.axis = 1 0 0
+component.1.angle = pi/5
+component.2.weight = 0.2
+component.2.kappa = 6
+component.2.axis = 0 1 1
+component.2.angle = 2pi/3
+
+[transform]
+bandlimit = 6
+
+[kernels]
+vp_orders = 4 8
+heat_exponents = 2 4
+char_cutoffs = 2 4
+
+[study]
+sample_sizes = logspace 1 3 5
+sample_size = 200
+mc_trials = 4
+mc_estimators = wavelet:0.25 characteristic:3 kernel:vp:4
+estimate_spec = wavelet:0.25
+seed = 7
+"""
+
+
+def read_columns(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, list(zip(*rows))
+
+
+def test_golden_outputs(tmp_path):
+    # the CLI outputs of a small study, pinned: labels and grid nodes exactly,
+    # computed numbers to 1e-12 relative (the sample's unit quaternions to
+    # 1e-12 of their norm), and z to 1e-8 absolute, since z divides the
+    # mean's rounding by its standard error
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    out = tmp_path / "out"
+    sample = os.path.join(GOLDEN_DIR, "sample.csv")
+    commands = (["sample"], ["estimate", sample], ["mise", "--via-quadrature"], ["mc-validate"])
+    for command in commands:
+        assert cli.main(command + ["--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+
+    def compare(name, exact=(), atol=0.0):
+        header, got = read_columns(out / name)
+        want_header, want = read_columns(os.path.join(GOLDEN_DIR, name))
+        assert header == want_header and len(got[0]) == len(want[0]), name
+        for col, a, b in zip(header, got, want):
+            if col in exact:
+                assert a == b, f"{name}: column {col}"
+                continue
+            a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+            if col == "z":
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-8, err_msg=name)
+            else:
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=atol, err_msg=f"{name}: {col}")
+
+    compare("sample.csv", atol=1e-12)
+    compare("estimate.csv", exact=("phi", "theta", "psi"))
+    compare("mise.csv", exact=("kernel", "bandwidth", "K"))
+    compare("mc_validate.csv", exact=("estimator",))
 
 
 def test_sample_estimate_round_trip(tmp_path):
@@ -236,6 +313,17 @@ def test_estimate_input_errors(tmp_path):
     bad.write_text("w,x,y,z\n1,0,0,0\nnan,0,0,0\n")
     assert cli.main(["estimate", "--config", cfg, "--out", str(out), str(bad)]) == 2
     assert not (out / "estimate.csv").exists()
+    # the library refuses the same rows, as sample rows and as evaluation
+    # points, rather than return NaN or a value at an unnormalized point
+    sample = sample_uniform(50, seed=1)
+    spec = KernelSpec("heat", 0.25)
+    for row in ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            RotationSample(np.array([row]))
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            kernel_estimate(sample, spec, np.array(row))
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            kernel_estimate(sample, spec, np.array([[1.0, 0.0, 0.0, 0.0], row]))
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -23,7 +23,7 @@ from so3density.kernels import (
     wavelet_coefficients,
 )
 from so3density.harmonics import L_MAX, characters_all
-from so3density.rotations import Rotation, quat_cos_half_between
+from so3density.rotations import Rotation, quat_cos_half_between, quat_multiply
 from so3density.sampling import RotationSample, sample_mixture, sample_uniform, sample_zonal
 from so3density.spectra import _BLOCK, MixtureComponent, ZonalMixture, zonal_synthesize
 from so3density.transform import QuadratureGrid, synthesize_at, wavelet_transform
@@ -203,12 +203,25 @@ def test_cutoff_kernel_goes_negative_on_narrow_modes():
     assert kernel_estimate(s, KernelSpec("char", 8), probes).min() < -1e-3
 
 
+def test_scaled_quaternion_points_estimate_as_unit():
+    # points are normalized before the pairwise product, and the sign of a
+    # quaternion does not enter |<p, q>|
+    s = sample_mixture(positive_mixture(), 50, seed=3)
+    spec = KernelSpec("heat", 0.25)
+    q = sample_uniform(6, seed=5).quaternions
+    ref = kernel_estimate(s, spec, q)
+    assert np.array_equal(kernel_estimate(s, spec, -q), ref)
+    for scale in (2.0, 1e-3):
+        np.testing.assert_allclose(kernel_estimate(s, spec, scale * q), ref, rtol=1e-13)
+        assert kernel_estimate(s, spec, scale * q[0]) == pytest.approx(ref[0], rel=1e-13)
+
+
 def test_left_translation_equivariance():
     s = sample_mixture(positive_mixture(), 300, seed=11)
     g = Rotation.from_euler_zyz((0.9, 1.7, 0.4))
     x = Rotation.from_axis_angle((np.array([0.3, -1.0, 0.2]), 1.234))
     for spec in (KernelSpec("heat", 0.1), KernelSpec("char", 5), KernelSpec("vp", 12)):
-        lhs = kernel_estimate(s.translated(g), spec, x)
+        lhs = kernel_estimate(RotationSample(quat_multiply(g.q, s.quaternions)), spec, x)
         rhs = kernel_estimate(s, spec, g.inverse().compose(x))
         assert abs(lhs - rhs) < 1e-10
 

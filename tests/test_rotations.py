@@ -149,11 +149,3 @@ def test_quat_array_helpers_match_class():
     q2 = quat_multiply(a.q, b.q)
     assert np.abs(quat_canonicalize(np.asarray(q2)) - a.compose(b).q).max() < 1e-15
     assert abs(quat_angle(a.q) - a.angle()) < 1e-15
-
-
-def test_text_round_trip_is_exact():
-    for _ in range(20):
-        r = random_rotation()
-        assert Rotation.from_text(r.to_text()) == r
-    with pytest.raises(ValueError):
-        Rotation.from_text("1 2 3")

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from so3density.estimators import characteristic_spectrum
 from so3density.harmonics import character
 from so3density.kernels import heat_coefficients, vp_coefficients
-from so3density.rotations import Rotation
+from so3density.rotations import Rotation, quat_multiply
 from so3density.sampling import (
     RotationSample,
     _angle_density,
@@ -13,7 +14,6 @@ from so3density.sampling import (
     sample_mixture,
     sample_uniform,
     sample_zonal,
-    validate_characteristic_properties,
 )
 from so3density.spectra import MixtureComponent, ZonalMixture
 
@@ -131,8 +131,6 @@ def test_mixture_counts_multinomial():
 def test_mixture_energy_profile_consistent():
     # empirical per-degree energy of the characteristic function tracks the
     # density profile: E[prof_hat] = prof + (1 - prof)/K per degree
-    from so3density.estimators import characteristic_spectrum
-
     m = positive_mixture()
     K = 20000
     s = sample_mixture(m, K, seed=29)
@@ -148,12 +146,11 @@ def test_mixture_energy_profile_consistent():
 
 
 def test_translation_preserves_energy_profile():
-    from so3density.estimators import characteristic_spectrum
-
     s = sample_zonal(vp_coefficients(10), 300, seed=1)
     g = Rotation.from_euler_zyz((1.2, 0.6, -2.0))
     a = characteristic_spectrum(s, 6).energy_per_degree()
-    b = characteristic_spectrum(s.translated(g), 6).energy_per_degree()
+    b = characteristic_spectrum(RotationSample(quat_multiply(g.q, s.quaternions)), 6)
+    b = b.energy_per_degree()
     assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
@@ -195,11 +192,61 @@ def test_csv_rejects_empty(tmp_path):
         RotationSample.from_csv(path)
 
 
+def _max_block_dev(spec_a, blocks_b, lmax):
+    return max(np.abs(spec_a[ell] - blocks_b[ell]).max() for ell in range(1, lmax + 1))
+
+
 def test_characteristic_property_report():
-    report = validate_characteristic_properties(seed=123)
-    assert len(report) == 5
-    for row in report:
-        assert row.ok, f"{row.name}: {row.deviation} > {row.tolerance}"
+    # Monte-Carlo checks of the characteristic-function calculus: (a) the
+    # characteristic function of a product of independent samples is the
+    # product of the characteristic matrices, (b) i.i.d. n-fold products raise
+    # the per-degree matrices to the n-th power, (c) zonal samples give nearly
+    # diagonal matrices with the zonal coefficients on the diagonal, and a
+    # uniform factor wipes out every degree >= 1.  Tolerances are a few
+    # standard errors wide (entries fluctuate at K^{-1/2}).
+    K, L = 20000, 3
+    rng = np.random.default_rng(123)
+    se = 1.0 / np.sqrt(K)
+    report = []
+
+    rho, sigma = 0.15, 0.3
+    x = sample_zonal(heat_coefficients(rho, 16), K, rng)
+    y = sample_zonal(heat_coefficients(sigma, 16), K, rng)
+    z = RotationSample(quat_multiply(x.quaternions, y.quaternions))
+    phi_x = characteristic_spectrum(x, L)
+    phi_y = characteristic_spectrum(y, L)
+    phi_z = characteristic_spectrum(z, L)
+
+    prod = [phi_x[ell] @ phi_y[ell] for ell in range(L + 1)]
+    report.append(("product-of-independents", _max_block_dev(phi_z, prod, L), 8.0 * se))
+
+    ell = np.arange(L + 1, dtype=float)
+    heat_sum = np.exp(-ell * (ell + 1) * (rho + sigma))
+    dev = max(np.abs(np.diag(phi_z[l]) - heat_sum[l]).max() for l in range(1, L + 1))
+    report.append(("product-semigroup-diagonal", dev, 6.0 * se))
+
+    x3 = [sample_zonal(heat_coefficients(rho, 16), K, rng) for _ in range(3)]
+    q3 = quat_multiply(quat_multiply(x3[0].quaternions, x3[1].quaternions), x3[2].quaternions)
+    phi3 = characteristic_spectrum(RotationSample(q3), L)
+    heat3 = np.exp(-ell * (ell + 1) * 3.0 * rho)
+    dev = max(np.abs(np.diag(phi3[l]) - heat3[l]).max() for l in range(1, L + 1))
+    report.append(("iid-power-diagonal", dev, 6.0 * se))
+
+    off_dev = 0.0
+    for l in range(1, L + 1):
+        block = phi_x[l].copy()
+        np.fill_diagonal(block, 0.0)
+        off_dev = max(off_dev, np.abs(block).max())
+    report.append(("zonal-near-diagonal", off_dev, 6.0 * se))
+
+    u = sample_uniform(K, rng)
+    zu = RotationSample(quat_multiply(u.quaternions, x.quaternions))
+    phi_u = characteristic_spectrum(zu, L)
+    dev = max(np.abs(phi_u[l]).max() for l in range(1, L + 1))
+    report.append(("uniform-factor-kills", dev, 6.0 * se))
+
+    for name, deviation, tolerance in report:
+        assert deviation <= tolerance, f"{name}: {deviation} > {tolerance}"
 
 
 def test_sample_size_validation():

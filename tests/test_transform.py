@@ -149,7 +149,9 @@ def test_parseval_on_grid():
     f = FullSpectrum(hermitian_blocks(5))
     g = T.QuadratureGrid(5)
     vals = T.synthesize(g, f)
-    assert g.integrate(vals**2) == pytest.approx(f.total_energy(), rel=1e-12)
+    prof = f.energy_per_degree()
+    energy = np.sum((2.0 * np.arange(6) + 1.0) ** 2 * prof)
+    assert g.integrate(vals**2) == pytest.approx(energy, rel=1e-12)
 
 
 def test_forward_of_mixture_matches_closed_form_spectrum():
@@ -211,7 +213,7 @@ def test_wavelet_inverse_reproduces_heat_factor():
     # for every degree the heat kernel at t_min carries
     for t_min in (1 / 4, 1 / 16, 1 / 64):
         L = heat_truncation_degree(t_min)
-        fs = FullSpectrum.from_zonal(np.ones(L + 1))
+        fs = FullSpectrum([np.eye(2 * l + 1) for l in range(L + 1)])
         ts, w = T.scale_grid(t_min)
         rec = T.wavelet_inverse([T.wavelet_transform(fs, t) for t in ts], ts, w, dc=1.0)
         heat = K.heat_coefficients(t_min, L)
@@ -222,7 +224,7 @@ def test_wavelet_inverse_reproduces_heat_factor():
 
 
 def test_wavelet_inverse_restores_dc():
-    f = FullSpectrum.from_zonal([1.0])
+    f = FullSpectrum([np.ones((1, 1))])
     ts, w = T.scale_grid(0.5)
     rec = T.wavelet_inverse([T.wavelet_transform(f, t) for t in ts], ts, w, dc=1.0)
     assert rec[0][0, 0] == 1.0
