@@ -33,7 +33,7 @@ from .estimators import (
     kernel_estimate,
     wavelet_density_estimate,
 )
-from .harmonics import addition_evaluate, character, characters_all
+from .harmonics import addition_evaluate, character, characters_all, wigner_d_stack
 from .kernels import (
     KernelSpec,
     admissibility_residual,
@@ -251,7 +251,8 @@ def run_selfcheck(seed=0, bandlimit=49):
     cfg = ExperimentConfig.default()
     m = cfg.build_mixture()
     grid = QuadratureGrid(bandlimit)
-    spectrum = forward(grid, synthesize(grid, m.full_spectrum(bandlimit)))
+    f_grid = synthesize(grid, m.full_spectrum(bandlimit))
+    spectrum = forward(grid, f_grid)
     expected_count = sum((2 * ell + 1) ** 2 for ell in range(bandlimit + 1))
     check(
         "coefficient count == closed-form sum",
@@ -266,11 +267,11 @@ def run_selfcheck(seed=0, bandlimit=49):
     gram = np.einsum("itpq,jtpq,tpq->ij", chars, chars, w)
     check("character orthogonality (l,l' <= 20)", np.max(np.abs(gram - np.eye(21))), 1e-10)
 
-    # the grid's own polar tables, at its Gauss-Legendre nodes
+    # polar tables at the grid's Gauss-Legendre nodes
     top = min(32, grid.L)
     dev = max(
         float(np.max(np.abs(d @ d.transpose(0, 2, 1) - np.eye(2 * ell + 1))))
-        for ell, d in enumerate(grid.d_stack[: top + 1])
+        for ell, d in enumerate(wigner_d_stack(top, grid.thetas))
     )
     check(f"Wigner-d orthogonality (l <= {top})", dev, 1e-10)
 
@@ -300,7 +301,6 @@ def run_selfcheck(seed=0, bandlimit=49):
     )
     check("wavelet unit norm", dev, 1e-10)
 
-    f_grid = synthesize(grid, m.full_spectrum(bandlimit))
     parseval = abs(grid.integrate(f_grid**2) - m.norm_squared(bandlimit))
     check("Parseval quadrature agreement", parseval / m.norm_squared(bandlimit), 1e-8)
 

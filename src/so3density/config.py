@@ -259,30 +259,3 @@ class ExperimentConfig:
         if data:
             raise ValueError(f"unknown keys: {', '.join(sorted(data))}")
         return cls(**kwargs)
-
-    def to_text(self):
-        lines = ["[mixture]", f"uniform_weight = {self.uniform_weight:.17g}"]
-        for i, c in enumerate(self.components, start=1):
-            lines.append(f"component.{i}.weight = {c.weight:.17g}")
-            lines.append(f"component.{i}.kappa = {c.kappa}")
-            lines.append(f"component.{i}.axis = " + " ".join(f"{v:.17g}" for v in c.axis))
-            lines.append(f"component.{i}.angle = {c.angle:.17g}")
-        lines += [
-            "",
-            "[transform]",
-            f"bandlimit = {self.bandlimit}",
-            "",
-            "[kernels]",
-            "vp_orders = " + " ".join(str(v) for v in self.vp_orders),
-            "heat_exponents = " + " ".join(str(v) for v in self.heat_exponents),
-            "char_cutoffs = " + " ".join(str(v) for v in self.char_cutoffs),
-            "",
-            "[study]",
-            "sample_sizes = " + " ".join(f"{v:.17g}" for v in self.sample_sizes),
-            f"sample_size = {self.sample_size}",
-            f"mc_trials = {self.mc_trials}",
-            "mc_estimators = " + " ".join(self.mc_estimators),
-            f"estimate_spec = {self.estimate_spec}",
-            f"seed = {self.seed}",
-        ]
-        return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .harmonics import L_MAX, _conj_wigner_sum
 from .kernels import KernelSpec, wavelet_coefficients
-from .rotations import Rotation, quat_canonicalize
+from .rotations import quat_points
 from .spectra import _BLOCK, FullSpectrum, _aligned_empty, zonal_synthesize
 from .transform import scale_grid, synthesize, synthesize_at, wavelet_inverse, wavelet_transform
 
@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 
-def heat_truncation_degree(t, tol=1e-18):
-    """Smallest band L with (2 ell+1)^2 e^{-ell (ell+1) t} < tol beyond it.
+def heat_truncation_degree(t):
+    """Smallest band L with (2 ell+1)^2 e^{-ell (ell+1) t} < 1e-18 beyond it.
 
     Past this degree the heat spectrum contributes below double rounding to
     any synthesized value, so truncation there is exact for practical
@@ -55,26 +55,9 @@ def heat_truncation_degree(t, tol=1e-18):
     if t <= 0:
         raise ValueError("heat time must be positive")
     ell = 1
-    while (2 * ell + 1) ** 2 * np.exp(-ell * (ell + 1) * t) >= tol:
+    while (2 * ell + 1) ** 2 * np.exp(-ell * (ell + 1) * t) >= 1e-18:
         ell += 1
     return ell
-
-
-def _as_quat_array(x):
-    """Evaluation points as unit quaternions of shape (N, 4), and whether x was one point.
-
-    Arrays pass through `quat_canonicalize`, which refuses a non-finite or
-    zero row and normalizes a scaled one; unit rows keep their values, and
-    |<p, q>| ignores the sign flip.
-    """
-    if isinstance(x, Rotation):
-        return x.q[None, :], True
-    q = np.asarray(x, dtype=float)
-    if q.shape == (4,):
-        return quat_canonicalize(q[None, :]), True
-    if q.ndim >= 2 and q.shape[-1] == 4:
-        return quat_canonicalize(q.reshape(-1, 4)), False
-    raise ValueError("evaluation points must be a Rotation or an (..., 4) array")
 
 
 def _zonal_average(sample, coeffs, x):
@@ -85,7 +68,7 @@ def _zonal_average(sample, coeffs, x):
     cos(omega/2) values are one GEMM, |<X_k, x_j>| clamped to 1, written
     into one cache-line-aligned buffer reused for every block.
     """
-    pts, scalar = _as_quat_array(x)
+    pts, shape = quat_points(x)
     sq = sample.quaternions
     cols = max(1, min(pts.shape[0], math.isqrt(_BLOCK)))
     rows = _BLOCK // cols
@@ -102,10 +85,7 @@ def _zonal_average(sample, coeffs, x):
             np.minimum(t, 1.0, out=t)
             acc += zonal_synthesize(coeffs, t).sum(axis=0)
     out /= sq.shape[0]
-    if scalar:
-        return float(out[0])
-    shape = np.asarray(x).shape[:-1] if not isinstance(x, Rotation) else ()
-    return out.reshape(shape)
+    return float(out[0]) if shape is None else out.reshape(shape)
 
 
 def kernel_band(spec):
@@ -122,8 +102,9 @@ def _kernel_coefficients(spec, L=None):
 def kernel_estimate(sample, spec, x):
     """zeta(x) = K^{-1} sum_k Xi(angle(X_k^{-1} x)) for a KernelSpec.
 
-    `x` may be a single Rotation or an array of quaternions; the expectation
-    of the result over samples from f is the convolution (Xi * f)(x).
+    `x` is read by `rotations.quat_points`: a float for one point, else an
+    array of x's leading shape.  The expectation of the result over samples
+    from f is the convolution (Xi * f)(x).
     """
     return _zonal_average(sample, _kernel_coefficients(spec), x)
 
@@ -192,9 +173,7 @@ def wavelet_density_estimate(sample, t, x, via_scales=False):
         )
     phi = characteristic_spectrum(sample, L)
     ts, w = scale_grid(t)
-    rec = wavelet_inverse([wavelet_transform(phi, s) for s in ts], ts, w, dc=1.0)
-    if isinstance(x, Rotation):
-        return float(synthesize_at(rec, x.q))
+    rec = wavelet_inverse([wavelet_transform(phi, s) for s in ts], ts, w)
     return synthesize_at(rec, x)
 
 

@@ -30,7 +30,8 @@ On top of that:
   separable tensor sum_k e^{i n phi_k} cos/sin(j theta_k) e^{i m psi_k}, one
   GEMM per chunk of rotations, contracted against the Delta products per
   degree (a mixture's few centres, whose weights vary by degree, are summed
-  over their polar tables instead, in `spectra.ZonalMixture.full_spectrum`);
+  instead over one degree's polar table at a time, `_polar` of a single
+  cos/sin(j theta) table, in `spectra.ZonalMixture.full_spectrum`);
 * pointwise synthesis (`_synthesize_points`): the adjoint, a spectrum
   folded once into a tensor over (j, n, m), then one GEMM per chunk of
   points;
@@ -44,7 +45,7 @@ import functools
 
 import numpy as np
 
-from .rotations import Rotation, quat_to_euler_zyz
+from .rotations import quat_points, quat_to_euler_zyz
 
 #: hard cap on the harmonic degree; keeps full-spectrum memory in the tens of MB
 L_MAX = 128
@@ -72,14 +73,16 @@ def _check_degree(ell):
     return ell
 
 
-def character(ell, r):
-    """Group character chi^ell(r); equals 2*ell + 1 at the identity.
+def character(ell, x):
+    """Group character chi^ell(x); equals 2*ell + 1 at the identity.
 
-    `r` is a Rotation or a quaternion array (..., 4); the value is row ell of
+    x is read by `rotations.quat_points`: a float for a Rotation or one
+    quaternion, else values in x's leading shape.  The value is row ell of
     `characters_all` at cos(omega/2) = |q_w|.
     """
-    q = r.q if isinstance(r, Rotation) else np.asarray(r, dtype=float)
-    return characters_all(ell, np.minimum(np.abs(q[..., 0]), 1.0))[ell]
+    q, shape = quat_points(x)
+    values = characters_all(ell, np.minimum(np.abs(q[:, 0]), 1.0))[ell]
+    return float(values[0]) if shape is None else values.reshape(shape)
 
 
 def characters_all(L, cos_half):

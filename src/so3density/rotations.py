@@ -26,6 +26,7 @@ __all__ = [
     "Rotation",
     "EulerZYZ",
     "quat_canonicalize",
+    "quat_points",
     "quat_multiply",
     "quat_conjugate",
     "quat_angle",
@@ -56,6 +57,27 @@ def quat_canonicalize(q):
     # sign key: w, falling back to x, y, z for w == 0
     flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))))
     return np.where(flip[..., None], -q, q)
+
+
+def quat_points(x):
+    """Evaluation points as canonical unit quaternions (N, 4), and the shape to give values.
+
+    `x` is a Rotation, one quaternion of shape (4,), or an array (..., 4).
+    The shape is None for one point and x's leading shape otherwise, so an
+    evaluator returns ``float(values[0])`` or ``values.reshape(shape)``.
+    Arrays pass through `quat_canonicalize`, which refuses a non-finite or
+    zero row and normalizes a scaled one; unit rows keep their values up to
+    the sign, which no function on SO(3) sees.  Every evaluator of the
+    package reads its points through here.
+    """
+    if isinstance(x, Rotation):
+        return x.q[None, :], None
+    q = np.asarray(x, dtype=float)
+    if q.shape == (4,):
+        return quat_canonicalize(q[None, :]), None
+    if q.ndim >= 2 and q.shape[-1] == 4:
+        return quat_canonicalize(q.reshape(-1, 4)), q.shape[:-1]
+    raise ValueError("evaluation points must be a Rotation or an (..., 4) array")
 
 
 def quat_multiply(p, q):
@@ -190,9 +212,6 @@ class Rotation:
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
             raise ValueError("quaternion must have shape (4,)")
-        n = np.linalg.norm(q)
-        if n == 0:
-            raise ValueError("zero quaternion does not define a rotation")
         return cls(*q)
 
     # -- conversions

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import L_MAX, characters_all, wigner_d_stack
-from .rotations import Rotation, quat_cos_half_between, quat_to_euler_zyz
+from .harmonics import L_MAX, _check_degree, _polar, _trig, characters_all
+from .rotations import Rotation, quat_cos_half_between, quat_points, quat_to_euler_zyz
 
 __all__ = [
     "zonal_synthesize",
@@ -213,14 +213,15 @@ class ZonalMixture:
         """Degree beyond which every component spectrum vanishes."""
         return max((c.coefficients.shape[0] - 1 for c in self.components), default=0)
 
-    def evaluate(self, q):
-        """Density at quaternions of shape (..., 4)."""
-        q = np.asarray(q, dtype=float)
-        out = self.uniform_weight * np.ones(q.shape[:-1])
+    def evaluate(self, x):
+        """Density at the points x, read by `rotations.quat_points`: a float
+        for a Rotation or one quaternion, else values in x's leading shape."""
+        q, shape = quat_points(x)
+        out = self.uniform_weight * np.ones(q.shape[0])
         for c in self.components:
             t = quat_cos_half_between(c.center.q, q)
             out = out + c.weight * zonal_synthesize(c.coefficients, t)
-        return out
+        return float(out[0]) if shape is None else out.reshape(shape)
 
     def energy_per_degree(self, L=None):
         """prof[ell] of the mixture, closed form.
@@ -257,8 +258,9 @@ class ZonalMixture:
 
         conj(D^ell_nm(c)) = e^{i n phi} d^ell_nm(theta) e^{i m psi} at the
         centre's Euler angles.  The weights vary by degree, so the few
-        centres are summed degree by degree over their polar tables
-        (`wigner_d_stack`).
+        centres are summed degree by degree over their polar tables, each
+        built from one cos/sin(j theta) table (`harmonics._polar`) and
+        dropped after its degree.
         """
         if L is None:
             L = self.lmax
@@ -266,8 +268,10 @@ class ZonalMixture:
         weights = np.array([c.weight * _pad(c.coefficients, L) for c in self.components])
         weights = weights.reshape(-1, L + 1)  # (0, L+1) for the uniform mixture
         phi, theta, psi = quat_to_euler_zyz(centers)
+        trig = _trig(_check_degree(L), theta)
         blocks = []
-        for ell, d in enumerate(wigner_d_stack(L, theta)):
+        for ell in range(L + 1):
+            d = _polar(ell, trig)
             n = np.arange(-ell, ell + 1)
             e_n = np.exp(1j * np.multiply.outer(phi, n))
             e_m = np.exp(1j * np.multiply.outer(psi, n))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .harmonics import L_MAX, _fold, _synthesize_points, _trig, _unfold, wigner_d_stack
 from .kernels import alpha, scale_grid, wavelet_coefficients
-from .rotations import quat_from_euler_zyz
+from .rotations import quat_from_euler_zyz, quat_points
 from .spectra import FullSpectrum
 
 __all__ = [
@@ -67,8 +67,8 @@ class QuadratureGrid:
     def d_stack(self):
         """Polar tables d^ell(theta_k) at the Gauss-Legendre nodes, ell = 0..L.
 
-        Built on first use by `wigner_d_stack` and kept with the grid.  Only
-        checks read it; the transforms never build it.
+        Built on first use by `wigner_d_stack` and kept with the grid.  No
+        function of the package reads it; the transforms never build it.
         """
         if self._d_stack is None:
             self._d_stack = wigner_d_stack(self.L, self.thetas)
@@ -144,15 +144,18 @@ def synthesize(grid, spectrum):
     return _synthesize_complex(grid, spectrum).real
 
 
-def synthesize_at(spectrum, q):
-    """Values of sum_ell (2 ell+1) sum_nm fhat_nm D^ell_nm at quaternions (..., 4).
+def synthesize_at(spectrum, x):
+    """Values of sum_ell (2 ell+1) sum_nm fhat_nm D^ell_nm at the points x.
 
-    One real GEMM per chunk of points, of their phases exp(i (n phi + m psi))
-    against the folded spectrum (`harmonics._fold`), summed against
-    cos/sin(j theta).  As in `synthesize`, the real part is returned.
+    x is read by `rotations.quat_points`: a Rotation or one quaternion gives
+    a float, an (..., 4) array the values in its leading shape.  One real
+    GEMM per chunk of points, of their phases exp(i (n phi + m psi)) against
+    the folded spectrum (`harmonics._fold`), summed against cos/sin(j theta).
+    As in `synthesize`, the real part is returned.
     """
-    q = np.asarray(q, dtype=float)
-    return _synthesize_points(spectrum, q.reshape(-1, 4)).reshape(q.shape[:-1])
+    q, shape = quat_points(x)
+    values = _synthesize_points(spectrum, q)
+    return float(values[0]) if shape is None else values.reshape(shape)
 
 
 def wavelet_transform(spectrum, rho):
@@ -160,16 +163,16 @@ def wavelet_transform(spectrum, rho):
     return spectrum.scale_per_degree(wavelet_coefficients(rho, spectrum.lmax))
 
 
-def wavelet_inverse(spectra, scales, weights, dc=1.0):
+def wavelet_inverse(spectra, scales, weights):
     """Integrate wavelet coefficient spectra over scales back to a density.
 
     Given spectra[k] = wavelet transform at scales[k], with the nodes and
     weights of a scale rule (`scale_grid`), returns the spectrum of
 
-        dc + integral alpha(t) (W f)(t, .) * Psi_t dt,
+        1 + integral alpha(t) (W f)(t, .) * Psi_t dt,
 
     which reproduces heat smoothing of f at the rule's lower limit (the
-    admissibility identity), with the constant mode restored from `dc`.
+    admissibility identity); the constant mode is the unit mass of a density.
     """
     scales = np.asarray(scales, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -183,5 +186,5 @@ def wavelet_inverse(spectra, scales, weights, dc=1.0):
         factors = weights[k] * alpha(scales[k]) * wavelet_coefficients(scales[k], L)
         for ell in range(1, L + 1):
             blocks[ell] += factors[ell] * spec[ell]
-    blocks[0][0, 0] = dc
+    blocks[0][0, 0] = 1.0
     return FullSpectrum(blocks)

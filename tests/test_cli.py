@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -12,11 +13,13 @@ import pytest
 import so3density.cli as cli
 from so3density.analysis import MiseCurve
 from so3density.config import ComponentConfig, ExperimentConfig, parse_angle
-from so3density.estimators import EstimatorSpec, kernel_estimate
+from so3density.estimators import EstimatorSpec, kernel_estimate, wavelet_density_estimate
+from so3density.harmonics import character
 from so3density.kernels import KernelSpec
-from so3density.sampling import RotationSample, sample_uniform
+from so3density.rotations import Rotation
+from so3density.sampling import RotationSample, sample_mixture, sample_uniform
 from so3density.svg import line_plot
-from so3density.transform import QuadratureGrid
+from so3density.transform import QuadratureGrid, synthesize_at
 
 
 SMALL_CFG = """
@@ -80,11 +83,55 @@ def test_default_config_encodes_study_values():
     assert np.allclose(m.components[0].center.q, frame * np.array([1, -1, -1, -1]))
 
 
-def test_config_text_round_trip():
-    cfg = ExperimentConfig.default()
-    assert ExperimentConfig.from_text(cfg.to_text()) == cfg
-    small = ExperimentConfig.from_text(SMALL_CFG)
-    assert ExperimentConfig.from_text(small.to_text()) == small
+DEFAULT_CFG = """
+[mixture]
+uniform_weight = 0.2
+component.1.weight = 0.7
+component.1.kappa = 30
+component.1.axis = 1 0 0
+component.1.angle = pi/6
+component.2.weight = 0.1
+component.2.kappa = 45
+component.2.axis = 0 1 0
+component.2.angle = 4pi/9
+
+[transform]
+bandlimit = 49
+
+[kernels]
+vp_orders = 1 8 17 22 29 36 43
+heat_exponents = 1 2 3 4 5 6 7 8 9
+char_cutoffs = 1 2 3 4 5 6 7 8 9
+
+[study]
+sample_sizes = logspace 1 5 13
+sample_size = 200
+mc_trials = 300
+mc_estimators = wavelet:0.0625 characteristic:5 kernel:vp:29
+estimate_spec = wavelet:0.0625
+seed = 1234
+"""
+
+
+def test_config_flat_text_reads_every_key():
+    assert ExperimentConfig.from_text(DEFAULT_CFG) == ExperimentConfig.default()
+    assert ExperimentConfig.from_text(SMALL_CFG) == ExperimentConfig(
+        uniform_weight=0.3,
+        components=(
+            ComponentConfig(0.5, 8, (1, 0, 0), math.pi / 5),
+            ComponentConfig(0.2, 12, (0, 1, 1), 2 * math.pi / 3),
+        ),
+        bandlimit=12,
+        vp_orders=(4, 8),
+        heat_exponents=(2, 4),
+        char_cutoffs=(2, 4),
+        sample_sizes=tuple(np.logspace(1.0, 3.0, 5)),
+        sample_size=60,
+        mc_trials=25,
+        mc_estimators=("wavelet:0.25", "characteristic:3"),
+        estimate_spec="wavelet:0.25",
+        seed=3,
+    )
 
 
 def test_config_json_alternative():
@@ -298,6 +345,9 @@ def test_estimate_csv_matches_csv_writer(tmp_path):
     assert (out / "estimate.csv").read_bytes() == ref.getvalue().encode()
 
 
+BAD_ROWS = ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0])
+
+
 def test_estimate_input_errors(tmp_path):
     cfg = write_cfg(tmp_path)
     bad = tmp_path / "bad.csv"
@@ -313,17 +363,50 @@ def test_estimate_input_errors(tmp_path):
     bad.write_text("w,x,y,z\n1,0,0,0\nnan,0,0,0\n")
     assert cli.main(["estimate", "--config", cfg, "--out", str(out), str(bad)]) == 2
     assert not (out / "estimate.csv").exists()
-    # the library refuses the same rows, as sample rows and as evaluation
-    # points, rather than return NaN or a value at an unnormalized point
-    sample = sample_uniform(50, seed=1)
-    spec = KernelSpec("heat", 0.25)
-    for row in ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]):
+    # the library refuses the same rows as sample rows (and as evaluation
+    # points: test_evaluation_point_contract)
+    for row in BAD_ROWS:
         with pytest.raises(ValueError, match="finite and nonzero"):
             RotationSample(np.array([row]))
+
+
+@pytest.fixture(scope="module")
+def study():
+    m = ExperimentConfig.default().build_mixture()
+    return m, sample_mixture(m, 50, seed=1), m.full_spectrum()
+
+
+EVALUATORS = {
+    "kernel_estimate": lambda m, s, f, x: kernel_estimate(s, KernelSpec("heat", 0.25), x),
+    "synthesize_at": lambda m, s, f, x: synthesize_at(f, x),
+    "wavelet via_scales": lambda m, s, f, x: wavelet_density_estimate(s, 0.25, x, via_scales=True),
+    "ZonalMixture.evaluate": lambda m, s, f, x: m.evaluate(x),
+    "character": lambda m, s, f, x: character(5, x),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluation_point_contract(name, study):
+    # every evaluator reads points through rotations.quat_points: one point
+    # gives a float, an (..., 4) array values of its leading shape, a scaled
+    # quaternion the value at its rotation, and a zero or non-finite row an error
+    f = functools.partial(EVALUATORS[name], *study)
+    q = Rotation.from_axis_angle((np.array([1.0, 0.0, 0.0]), 0.3)).q
+    value = f(q)
+    assert isinstance(value, float)
+    one = f(Rotation.from_quaternion(q))
+    assert isinstance(one, float) and one == value
+    for scale in (2.0, 0.5):
+        assert f(scale * q) == pytest.approx(value, rel=1e-12)
+    pts = sample_uniform(6, seed=2).quaternions
+    values = f(pts.reshape(2, 3, 4))
+    assert values.shape == (2, 3)
+    assert np.array_equal(values.reshape(-1), f(pts))
+    for row in BAD_ROWS:
         with pytest.raises(ValueError, match="finite and nonzero"):
-            kernel_estimate(sample, spec, np.array(row))
+            f(np.array(row))
         with pytest.raises(ValueError, match="finite and nonzero"):
-            kernel_estimate(sample, spec, np.array([[1.0, 0.0, 0.0, 0.0], row]))
+            f(np.array([q, row]))
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -215,7 +215,7 @@ def test_wavelet_inverse_reproduces_heat_factor():
         L = heat_truncation_degree(t_min)
         fs = FullSpectrum([np.eye(2 * l + 1) for l in range(L + 1)])
         ts, w = T.scale_grid(t_min)
-        rec = T.wavelet_inverse([T.wavelet_transform(fs, t) for t in ts], ts, w, dc=1.0)
+        rec = T.wavelet_inverse([T.wavelet_transform(fs, t) for t in ts], ts, w)
         heat = K.heat_coefficients(t_min, L)
         for l in range(L + 1):
             assert np.abs(rec[l] - heat[l] * np.eye(2 * l + 1)).max() < 1e-13
@@ -226,7 +226,7 @@ def test_wavelet_inverse_reproduces_heat_factor():
 def test_wavelet_inverse_restores_dc():
     f = FullSpectrum([np.ones((1, 1))])
     ts, w = T.scale_grid(0.5)
-    rec = T.wavelet_inverse([T.wavelet_transform(f, t) for t in ts], ts, w, dc=1.0)
+    rec = T.wavelet_inverse([T.wavelet_transform(f, t) for t in ts], ts, w)
     assert rec[0][0, 0] == 1.0
 
 
